@@ -214,10 +214,17 @@ def _proposed_cartesian(model, n, half_width, slope_mode, threads=1):
     return grid, solve_cartesian(fld, tables)
 
 
-def _analytic_cartesian(model, grid) -> ForceField:
-    X, Y = grid.center_mesh()
-    fx, fy = model.force_xy(X, Y)
-    return ForceField(grid, np.asarray(fx, float), np.asarray(fy, float))
+def _analytic_force(model, grid) -> ForceField:
+    """The model's analytic force at the cell centers: (Fx, Fy) on Cartesian
+    grids, projected to (Fr, Ftheta) on polar grids."""
+    if grid.coords == "cartesian":
+        X, Y = grid.center_mesh()
+        fx, fy = model.force_xy(X, Y)
+        return ForceField(grid, np.asarray(fx, float), np.asarray(fy, float))
+    Rg, Tg = grid.center_mesh()
+    fx, fy = model.force_xy(Rg * np.cos(Tg), Rg * np.sin(Tg))
+    return ForceField(grid, fx * np.cos(Tg) + fy * np.sin(Tg),
+                      -fx * np.sin(Tg) + fy * np.cos(Tg))
 
 
 def run_convergence(model, n_values, coords="cartesian", method="proposed",
@@ -228,6 +235,7 @@ def run_convergence(model, n_values, coords="cartesian", method="proposed",
     row_convention "reference" reproduces the frozen reference tables: cell
     weights doubled in linear size (scales L1 by 4 and L2 by 2) and, in
     Cartesian coordinates, each labeled row solved at twice its label.
+    ``threads`` is passed on to the tabulation, which ignores it.
     """
     if row_convention not in ("plain", "reference"):
         raise ValueError(f"unknown row convention {row_convention!r}")
@@ -252,18 +260,13 @@ def run_convergence(model, n_values, coords="cartesian", method="proposed",
                 num = solve_softened_cartesian(fld, SofteningConfig(grid.dx))
             else:
                 raise ValueError(f"unknown method {method!r}")
-            exact = _analytic_cartesian(model, grid)
         else:
             if method != "proposed":
                 raise ValueError("polar sweeps support the proposed method only")
             grid = build_polar_grid(half_width, n, beta0)
             fld = sample_density(model, grid, slopes=slope_mode)
             num = solve_polar(fld, tabulate_polar_kernels(grid, threads=threads))
-            Rg, Tg = grid.center_mesh()
-            fx, fy = model.force_xy(Rg * np.cos(Tg), Rg * np.sin(Tg))
-            exact = ForceField(grid, fx * np.cos(Tg) + fy * np.sin(Tg),
-                               -fx * np.sin(Tg) + fy * np.cos(Tg))
-        res = error_norms(num, exact, grid)
+        res = error_norms(num, _analytic_force(model, grid), grid)
         for c in components:
             e1, e2, ei = res[c]
             norms[c].append((e1 * scale[0], e2 * scale[1], ei * scale[2]))
@@ -282,7 +285,8 @@ def run_self_convergence(model, n_values, truth_n, half_width=1.0,
 
     The fine reference is brought to each coarse grid by the closest-four
     average, so coarse rows compare against local fine values rather than a
-    fully homogenized block mean.
+    fully homogenized block mean.  ``threads`` is passed on to the
+    tabulation, which ignores it.
     """
     for n in n_values:
         if truth_n % n or (truth_n // n) & (truth_n // n - 1):

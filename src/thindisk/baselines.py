@@ -36,17 +36,23 @@ _LANCZOS_C = (
 )
 
 
+def _lanczos(z):
+    """(z - 1, z - 1 + g + 1/2, series sum): the parts of Gamma(z) shared by
+    complex_gamma and complex_log_gamma."""
+    zz = z - 1.0
+    acc = np.full(zz.shape, _LANCZOS_C[0], dtype=complex)
+    for i, c in enumerate(_LANCZOS_C[1:], start=1):
+        acc = acc + c / (zz + i)
+    return zz, zz + _LANCZOS_G + 0.5, acc
+
+
 def complex_gamma(z):
     """Gamma function for complex argument via the Lanczos series."""
     z = np.asarray(z, dtype=complex)
     if np.any(np.isreal(z) & (z.real <= 0) & (z.real == np.floor(z.real))):
         raise ValueError("gamma pole at a non-positive integer")
     refl = z.real < 0.5
-    zz = np.where(refl, 1.0 - z, z) - 1.0
-    acc = np.full(zz.shape, _LANCZOS_C[0], dtype=complex)
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc = acc + c / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
+    zz, t, acc = _lanczos(np.where(refl, 1.0 - z, z))
     out = np.sqrt(2.0 * np.pi) * t ** (zz + 0.5) * np.exp(-t) * acc
     with np.errstate(invalid="ignore", over="ignore"):
         reflected = np.pi / (np.sin(np.pi * z) * out)
@@ -62,11 +68,7 @@ def complex_log_gamma(z):
     z = np.asarray(z, dtype=complex)
     if np.any(z.real <= 0):
         raise ValueError("complex_log_gamma requires Re(z) > 0")
-    zz = z - 1.0
-    acc = np.full(zz.shape, _LANCZOS_C[0], dtype=complex)
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc = acc + c / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
+    zz, t, acc = _lanczos(z)
     return 0.5 * np.log(2.0 * np.pi) + (zz + 0.5) * np.log(t) - t + np.log(acc)
 
 

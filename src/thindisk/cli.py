@@ -21,7 +21,7 @@ from .grids import build_cartesian_grid, build_polar_grid
 from .kernels_cartesian import tabulate_cartesian_kernels
 from .kernels_polar import SingularEvaluationError, tabulate_polar_kernels
 from .models import D2Disk, D2PairDisk, LogSpiralDisk, sample_density
-from .solver import ForceField, solve_cartesian, solve_cartesian_direct, solve_polar
+from .solver import solve_cartesian, solve_cartesian_direct, solve_polar
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -102,60 +102,62 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _build_field(args, threads):
+def _write_text(path, text: str) -> None:
+    """Write a report to ``path`` and say so, or to stdout without a path."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
+    else:
+        sys.stdout.write(text)
+
+
+def _build_grid(args):
+    if args.coords == "cartesian":
+        return build_cartesian_grid(args.M, args.N)
+    return build_polar_grid(args.M, args.N, args.beta0)
+
+
+def _tabulate(grid, threads):
+    if grid.coords == "cartesian":
+        return tabulate_cartesian_kernels(grid, threads=threads)
+    return tabulate_polar_kernels(grid, threads=threads)
+
+
+def _build_field(args):
     """Grid + density field from either a model or an input file."""
     if args.input:
         field = gridio.read_density(args.input)
         return field.grid, field, None
     model = make_model(args.model, args.alpha, args.sigma0)
-    if args.coords == "cartesian":
-        grid = build_cartesian_grid(args.M, args.N)
-    else:
-        grid = build_polar_grid(args.M, args.N, args.beta0)
+    grid = _build_grid(args)
     return grid, sample_density(model, grid, slopes=args.slopes), model
 
 
 def cmd_solve(args) -> int:
     threads = _threads(args)
-    grid, field, model = _build_field(args, threads)
+    grid, field, model = _build_field(args)
     if args.method == "softening":
         if grid.coords != "cartesian":
             raise UsageError("softening runs on Cartesian grids only")
         cfg = SofteningConfig(args.epsilon if args.epsilon else grid.dx)
         force = solve_softened_cartesian(field, cfg, sign_convention=args.sign)
-    elif grid.coords == "cartesian":
-        tables = None
-        if args.kernel_cache and os.path.exists(args.kernel_cache):
-            tables = gridio.load_kernel_tables(args.kernel_cache, grid)
-        if tables is None:
-            tables = tabulate_cartesian_kernels(grid, threads=threads)
-            if args.kernel_cache:
-                gridio.save_kernel_tables(args.kernel_cache, tables)
-        force = solve_cartesian(field, tables, sign_convention=args.sign)
     else:
-        tables = None
         if args.kernel_cache and os.path.exists(args.kernel_cache):
             tables = gridio.load_kernel_tables(args.kernel_cache, grid)
-        if tables is None:
-            tables = tabulate_polar_kernels(grid, threads=threads)
+        else:
+            tables = _tabulate(grid, threads)
             if args.kernel_cache:
                 gridio.save_kernel_tables(args.kernel_cache, tables)
-        force = solve_polar(field, tables, sign_convention=args.sign)
+        solve = solve_cartesian if grid.coords == "cartesian" else solve_polar
+        force = solve(field, tables, sign_convention=args.sign)
 
     out = args.out or "force.txt"
     gridio.write_force(out, force)
     print(f"wrote {out}")
 
     if model is not None and hasattr(model, "force_xy"):
-        if grid.coords == "cartesian":
-            X, Y = grid.center_mesh()
-            fx, fy = model.force_xy(X, Y)
-            exact = ForceField(grid, np.asarray(fx, float), np.asarray(fy, float))
-        else:
-            Rg, Tg = grid.center_mesh()
-            fx, fy = model.force_xy(Rg * np.cos(Tg), Rg * np.sin(Tg))
-            exact = ForceField(grid, fx * np.cos(Tg) + fy * np.sin(Tg),
-                               -fx * np.sin(Tg) + fy * np.cos(Tg))
+        exact = analysis._analytic_force(model, grid)
         if args.sign == "repulsive":
             exact = exact.flipped()
         for comp, (e1, e2, ei) in analysis.error_norms(force, exact, grid).items():
@@ -175,13 +177,7 @@ def cmd_converge(args) -> int:
             model, args.N, coords=args.coords, method=args.method,
             half_width=args.M, beta0=args.beta0, slope_mode=args.slopes,
             row_convention=args.row_convention, threads=threads)
-    text = report.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, report.to_csv())
     return 0
 
 
@@ -205,7 +201,8 @@ def _timeit(fn, repeats: int) -> float:
 
 def run_bench(n_values, repeats=3, direct_n=(), half_width=1.0, threads=1):
     """Timing records for the fast method, the softened method and the
-    literal direct summation (the latter usually on a smaller N list)."""
+    literal direct summation (the latter usually on a smaller N list).
+    ``threads`` is passed on to the tabulation, which ignores it."""
     model = D2Disk()
     records = []
     for n in n_values:
@@ -255,24 +252,13 @@ def bench_csv(records) -> str:
 def cmd_bench(args) -> int:
     records = run_bench(args.N, repeats=args.repeats, direct_n=args.direct_N or [],
                         half_width=args.M, threads=_threads(args))
-    text = bench_csv(records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, bench_csv(records))
     return 0
 
 
 def cmd_kernels(args) -> int:
-    threads = _threads(args)
-    if args.coords == "cartesian":
-        grid = build_cartesian_grid(args.M, args.N)
-        tables = tabulate_cartesian_kernels(grid, threads=threads)
-    else:
-        grid = build_polar_grid(args.M, args.N, args.beta0)
-        tables = tabulate_polar_kernels(grid, threads=threads)
+    grid = _build_grid(args)
+    tables = _tabulate(grid, _threads(args))
     gridio.save_kernel_tables(args.out, tables)
     reloaded = gridio.load_kernel_tables(args.out, grid)
     for kind, arr in tables.tables.items():
@@ -287,13 +273,7 @@ def cmd_singular_study(args) -> int:
     lines = ["k,E,order"]
     for k, err, order in rows:
         lines.append(f"{k},{err:.17g}," + ("" if order is None else f"{order:.17g}"))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -308,13 +288,7 @@ def cmd_kalnajs(args) -> int:
     lines = ["r,phi"]
     for r, p in zip(radii, phi):
         lines.append(f"{r:.17g},{p:.17g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -326,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="key = value config file")
         sp.add_argument("--threads", type=int, default=0,
-                        help="worker threads (default: THINDISK_THREADS or all cores)")
+                        help="accepted for compatibility; every stage runs on one "
+                             "thread (default: THINDISK_THREADS or all cores)")
         sp.add_argument("--M", type=float, default=1.0, help="domain half-width / outer radius")
         sp.add_argument("--alpha", type=float, default=0.25, help="disk cutoff radius")
         sp.add_argument("--sigma0", type=float, default=1.0, help="central surface density")

@@ -70,6 +70,9 @@ def _read_block(lines, n, what) -> tuple:
         if len(vals) != n:
             raise FileFormatError(f"row {j} of {what} has {len(vals)} values, expected {n}")
         out[:, j] = [float(v) for v in vals]
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
+    if bad.size:
+        raise FileFormatError(f"row {bad[0]} of {what} holds a non-finite value")
     return out, lines[n:]
 
 
@@ -172,8 +175,8 @@ def save_kernel_tables(path, tables) -> None:
 
 def load_kernel_tables(path, grid):
     """Load a cache back; the stored grid signature must match ``grid``."""
-    from .kernels_cartesian import KernelTables
-    from .kernels_polar import PolarKernelTables
+    from .kernels_cartesian import KINDS as CARTESIAN_KINDS, KernelTables
+    from .kernels_polar import KINDS as POLAR_KINDS, PolarKernelTables
 
     with np.load(path) as data:
         if int(data["version"]) != _CACHE_VERSION:
@@ -191,5 +194,17 @@ def load_kernel_tables(path, grid):
         tables = {k[6:]: data[k] for k in data.files if k.startswith("table_")}
         holes = {k[5:]: data[k] for k in data.files if k.startswith("hole_")}
     if coords == "cartesian":
+        _require_kinds(tables, "table", CARTESIAN_KINDS, (2 * n, 2 * n))
         return KernelTables(grid=grid, tables=tables)
+    _require_kinds(tables, "table", POLAR_KINDS, (2 * n, n))
+    _require_kinds(holes, "hole", POLAR_KINDS, (n, n))
     return PolarKernelTables(grid=grid, tables=tables, hole_tables=holes)
+
+
+def _require_kinds(arrays, prefix, kinds, shape) -> None:
+    for kind in kinds:
+        if kind not in arrays:
+            raise FileFormatError(f"kernel cache lacks {prefix}_{kind}")
+        if arrays[kind].shape != shape:
+            raise FileFormatError(f"kernel cache {prefix}_{kind} has shape "
+                                  f"{arrays[kind].shape}, expected {shape}")

@@ -8,7 +8,7 @@ makes the force sums convolutions.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,14 +16,15 @@ import numpy as np
 from .grids import CartesianGrid
 
 KINDS = ("x0", "xx", "xy", "y0", "yx", "yy")
+_Y_FROM_X = {"y0": "x0", "yx": "xy", "yy": "xx"}    # y-kind: x-kind with the axes swapped
 
 
 def _log_plus_hypot(a, b):
     """log(a + hypot(a, b)), rewritten for a < 0 to avoid cancellation.
 
     For a < 0: a + hypot(a,b) = b^2/(hypot(a,b) - a).  b must be nonzero
-    when a <= 0; on-grid corner abscissae are odd multiples of dx/2, so the
-    degenerate b == 0 case never arises from integer cell offsets.
+    when a <= 0; Cartesian corners and polar trapezoid nodes sit half a
+    cell off every center, so b == 0 never arises from integer offsets.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -35,8 +36,21 @@ def _log_plus_hypot(a, b):
     return out
 
 
-def _corner_diff(fn, up, um, vp, vm):
-    return fn(up, vp) - fn(um, vp) - fn(up, vm) + fn(um, vm)
+def _point_corners(up, um, vp, vm):
+    """Corner provider: fn at (up, vp), (um, vp), (up, vm) and (um, vm)."""
+    return lambda fn: (fn(up, vp), fn(um, vp), fn(up, vm), fn(um, vm))
+
+
+def _lattice_corners(values, plus, minus):
+    """Corner provider over a lattice; values(fn) is fn on the whole lattice.
+
+    Lattice rows ``plus``/``minus`` hold the cells' up/um; column k is vp of
+    cell k and vm of cell k - 1.
+    """
+    def corners(fn):
+        c = values(fn)
+        return c[plus, :-1], c[minus, :-1], c[plus, 1:], c[minus, 1:]
+    return corners
 
 
 def _anti_x0(u, v):
@@ -56,6 +70,25 @@ def _anti_xy_tail(u, v):
     return -np.hypot(u, v)
 
 
+def _assemble(kind, corners, di, dj, dx):
+    """One x-family kernel at offsets (di, dj) from its antiderivatives.
+
+    corners(fn) returns fn at the source cells' (up, vp), (um, vp), (up, vm)
+    and (um, vm) corners, shaped like the offsets.
+    """
+    def diff(fn):
+        pp, mp, pm, mm = corners(fn)
+        return pp - mp - pm + mm
+
+    k0 = diff(_anti_x0)
+    if kind == "x0":
+        return k0
+    if kind == "xx":
+        return di * dx * k0 + diff(_anti_xx_tail)
+    # kind == "xy"
+    return dj * dx * k0 + diff(_anti_xy_tail)
+
+
 def eval_cartesian_kernel(kind: str, di, dj, grid: CartesianGrid) -> np.ndarray:
     """Kernel value(s) for offsets (di, dj) = (i - i', j - j').
 
@@ -67,21 +100,11 @@ def eval_cartesian_kernel(kind: str, di, dj, grid: CartesianGrid) -> np.ndarray:
     di = np.asarray(di)
     dj = np.asarray(dj)
     if kind.startswith("y"):
-        swap = {"y0": "x0", "yx": "xy", "yy": "xx"}[kind]
-        return eval_cartesian_kernel(swap, dj, di, grid)
+        return eval_cartesian_kernel(_Y_FROM_X[kind], dj, di, grid)
 
     dx = grid.dx
-    up = (0.5 - di) * dx
-    um = (-0.5 - di) * dx
-    vp = (0.5 - dj) * dx
-    vm = (-0.5 - dj) * dx
-    k0 = _corner_diff(_anti_x0, up, um, vp, vm)
-    if kind == "x0":
-        return k0
-    if kind == "xx":
-        return di * dx * k0 + _corner_diff(_anti_xx_tail, up, um, vp, vm)
-    # kind == "xy"
-    return dj * dx * k0 + _corner_diff(_anti_xy_tail, up, um, vp, vm)
+    corners = _point_corners((0.5 - di) * dx, (-0.5 - di) * dx, (0.5 - dj) * dx, (-0.5 - dj) * dx)
+    return _assemble(kind, corners, di, dj, dx)
 
 
 def wrap_offsets(n: int) -> np.ndarray:
@@ -113,29 +136,20 @@ class KernelTables:
 
 def tabulate_cartesian_kernels(grid: CartesianGrid, threads: int = 1) -> KernelTables:
     """Tabulate the x-family over all wrapped offsets; the y-family is its
-    transpose.  Cost is O(n^2) closed-form evaluations per kind."""
+    transpose.
+
+    Cells share corners (um at offset d is up at d + 1), so each
+    antiderivative is evaluated once on the (2n+1)^2 corner lattice.  Tables
+    are bit-identical to eval_cartesian_kernel; ``threads`` is ignored.
+    """
     n = grid.n
-    offs = wrap_offsets(n)
-    di = offs[:, None]
-    dj = offs[None, :]
-
-    def rows(kind, lo, hi):
-        return eval_cartesian_kernel(kind, di[lo:hi], dj, grid)
-
-    tables: dict[str, np.ndarray] = {}
-    for kind in ("x0", "xx", "xy"):
-        if threads and threads > 1:
-            size = 2 * n
-            step = max(64, size // (4 * threads))
-            chunks = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-            out = np.empty((size, size))
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                for (lo, hi), block in zip(chunks, ex.map(lambda c: rows(kind, *c), chunks)):
-                    out[lo:hi] = block
-            tables[kind] = out
-        else:
-            tables[kind] = eval_cartesian_kernel(kind, di, dj, grid)
-    tables["y0"] = np.ascontiguousarray(tables["x0"].T)
-    tables["yx"] = np.ascontiguousarray(tables["xy"].T)
-    tables["yy"] = np.ascontiguousarray(tables["xx"].T)
+    d = np.arange(-n + 1, n + 1)
+    u = (0.5 - np.arange(-n + 1, n + 2)) * grid.dx
+    values = functools.cache(lambda fn: fn(u[:, None], u[None, :]))
+    corners = _lattice_corners(values, slice(0, -1), slice(1, None))
+    # ascending offsets -n+1..n rolled into the order of wrap_offsets(n)
+    tables = {kind: np.roll(_assemble(kind, corners, d[:, None], d[None, :], grid.dx),
+                            (1 - n, 1 - n), axis=(0, 1))
+              for kind in ("x0", "xx", "xy")}
+    tables.update({y: np.ascontiguousarray(tables[x].T) for y, x in _Y_FROM_X.items()})
     return KernelTables(grid=grid, tables=tables)

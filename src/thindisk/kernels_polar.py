@@ -18,11 +18,13 @@ d/dr slope, d/dtheta slope); "t0", "tr", "tt" build the azimuthal force;
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grids import PolarGrid
+from .kernels_cartesian import _lattice_corners, _log_plus_hypot, wrap_offsets
 
 KINDS = ("r0", "rr", "rt", "t0", "tr", "tt")
 POTENTIAL_KINDS = ("p0", "pr", "pt")
@@ -32,26 +34,9 @@ class SingularEvaluationError(ValueError):
     """Antiderivative evaluated at its logarithmic singularity."""
 
 
-def _log_term(t, u):
-    """log(-cos u + t + F(t, u)) with the cancellation-free rewrite.
-
-    The argument vanishes only for u = 0 (mod 2pi) with t <= 1; trapezoid
-    nodes sit half a cell away from every center, so tabulation never lands
-    there.
-    """
-    a = np.asarray(t, dtype=float) - np.cos(u)
-    b = np.sin(u)
-    h = np.hypot(a, b)
-    pos = a > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(pos, np.log(np.where(pos, a, 1.0) + h),
-                        2.0 * np.log(np.abs(b)) - np.log(h - np.where(pos, 0.0, a)))
-
-
 def eval_F(t, theta) -> np.ndarray:
     """Chord factor sqrt(1 + t^2 - 2 t cos(theta)) for dimensionless radius t."""
-    t = np.asarray(t, dtype=float)
-    return np.hypot(t - np.cos(theta), np.sin(theta))
+    return np.hypot(np.asarray(t, dtype=float) - np.cos(theta), np.sin(theta))
 
 
 def _check_regular(t, theta):
@@ -61,25 +46,24 @@ def _check_regular(t, theta):
             "antiderivative log argument vanishes (theta = 0 mod 2pi with t <= 1)")
 
 
-def eval_H1(t, theta) -> np.ndarray:
-    """Radial antiderivative of t*(1 - t*cos(theta))/F^3."""
-    _check_regular(t, theta)
-    c = np.cos(theta)
-    return -c * _log_term(t, theta) + (2.0 * c * t - 1.0) / eval_F(t, theta)
+def _chord(t, u):
+    """(t, cos u, sin u, F, L) at the points (t, u), shared by every antiderivative.
 
-
-def eval_H2(t, theta) -> np.ndarray:
-    """Radial antiderivative of t^2*(1 - t*cos(theta))/F^3."""
-    _check_regular(t, theta)
-    c = np.cos(theta)
-    F = eval_F(t, theta)
-    return -((3.0 * c * c - 1.0) * _log_term(t, theta)
-             + (-6.0 * t * c * c + 3.0 * c + t * t * c + t) / F)
+    L = log(t - cos u + F) in its cancellation-free form.  Its argument
+    vanishes only for u = 0 (mod 2pi) with t <= 1; trapezoid nodes sit half
+    a cell away from every center, so tabulation never lands there.
+    """
+    t = np.asarray(t, dtype=float)
+    c, s = np.cos(u), np.sin(u)
+    return t, c, s, np.hypot(t - c, s), _log_plus_hypot(t - c, s)
 
 
 # ---------------------------------------------------------------------------
-# azimuthal-family and potential-family antiderivatives
+# radial, azimuthal-family and potential-family antiderivatives of the chord
+# terms (t, c, s, F, L) = _chord(t, u)
 #
+# _h1 and _h2 are the radial antiderivatives of t*(1 - t*cos(u))/F^3 and
+# t^2*(1 - t*cos(u))/F^3; eval_H1 and eval_H2 add the singularity guard.
 # The printed closed forms circulating for the azimuthal kernels fail the
 # quadrature oracle (see tests), so these are derived from scratch:
 #   d2/du dt of _az0 = t^2 sin(u)/F^3
@@ -88,42 +72,44 @@ def eval_H2(t, theta) -> np.ndarray:
 #   d/dt    of _pot0 = t/F,   d/dt of _pot1 = t^2/F
 
 
-def _h1(t, u):
-    c = np.cos(u)
-    return -c * _log_term(t, u) + (2.0 * c * t - 1.0) / eval_F(t, u)
+def _h1(t, c, s, F, L):
+    return -c * L + (2.0 * c * t - 1.0) / F
 
 
-def _h2(t, u):
-    c = np.cos(u)
-    F = eval_F(t, u)
-    return -((3.0 * c * c - 1.0) * _log_term(t, u)
-             + (-6.0 * t * c * c + 3.0 * c + t * t * c + t) / F)
+def _h2(t, c, s, F, L):
+    return -((3.0 * c * c - 1.0) * L + (-6.0 * t * c * c + 3.0 * c + t * t * c + t) / F)
 
 
-def _az0(t, u):
-    c = np.cos(u)
-    return -(eval_F(t, u) + c * _log_term(t, u))
+def eval_H1(t, theta) -> np.ndarray:
+    """Radial antiderivative of t*(1 - t*cos(theta))/F^3."""
+    _check_regular(t, theta)
+    return _h1(*_chord(t, theta))
 
 
-def _az1(t, u):
-    c = np.cos(u)
-    return -(0.5 * (t + 3.0 * c) * eval_F(t, u) + 0.5 * (3.0 * c * c - 1.0) * _log_term(t, u))
+def eval_H2(t, theta) -> np.ndarray:
+    """Radial antiderivative of t^2*(1 - t*cos(theta))/F^3."""
+    _check_regular(t, theta)
+    return _h2(*_chord(t, theta))
 
 
-def _az2(t, u):
-    c = np.cos(u)
-    s = np.sin(u)
-    return s * _log_term(t, u) - (t * (1.0 - 2.0 * c * c) + c) / (s * eval_F(t, u))
+def _az0(t, c, s, F, L):
+    return -(F + c * L)
 
 
-def _pot0(t, u):
-    c = np.cos(u)
-    return eval_F(t, u) + c * _log_term(t, u)
+def _az1(t, c, s, F, L):
+    return -(0.5 * (t + 3.0 * c) * F + 0.5 * (3.0 * c * c - 1.0) * L)
 
 
-def _pot1(t, u):
-    c = np.cos(u)
-    return 0.5 * ((t + 3.0 * c) * eval_F(t, u) + (3.0 * c * c - 1.0) * _log_term(t, u))
+def _az2(t, c, s, F, L):
+    return s * L - (t * (1.0 - 2.0 * c * c) + c) / (s * F)
+
+
+def _pot0(t, c, s, F, L):
+    return F + c * L
+
+
+def _pot1(t, c, s, F, L):
+    return 0.5 * ((t + 3.0 * c) * F + (3.0 * c * c - 1.0) * L)
 
 
 def _theta_nodes(dj, dtheta):
@@ -139,66 +125,77 @@ def _radial_limits(di, grid: PolarGrid):
     return tp, b * tp
 
 
-def _assemble(kind, tp, tm, up, um, ratio_correction, dtheta):
-    """One kernel value from its radial limits and trapezoid nodes.
+def _assemble(kind, corners, ratio_correction, dtheta):
+    """One kernel value from the antiderivatives at its cell corners.
 
-    ratio_correction is r_src/r_target (beta**di for ring cells, r0/r_i for
-    hole cells); it multiplies the zeroth-order kernel inside the slope kinds.
+    corners(f) returns f at (tp, up), (tm, up), (tp, um) and (tm, um): the
+    radial limits tp > tm of the source cell crossed with the two trapezoid
+    nodes.  ratio_correction is r_src/r_target (beta**di for ring cells,
+    r0/r_i for hole cells); it multiplies the zeroth-order kernel inside the
+    slope kinds.
     """
     def trap(f):
-        return 0.5 * (f(tp, up) - f(tm, up) + f(tp, um) - f(tm, um)) * dtheta
+        a, b, c, d = corners(f)
+        return 0.5 * (a - b + c - d) * dtheta
 
     def trap_weighted(f):
         # node weight is (thetabar - theta_src) = +-dtheta/2
-        return 0.25 * dtheta * (f(tp, up) - f(tm, up) - (f(tp, um) - f(tm, um))) * dtheta
+        a, b, c, d = corners(f)
+        return 0.25 * dtheta * (a - b - (c - d)) * dtheta
 
     def corner(f):
-        return f(tp, up) - f(tm, up) - (f(tp, um) - f(tm, um))
+        a, b, c, d = corners(f)
+        return a - b - (c - d)
 
-    if kind == "r0":
-        return trap(_h1)
-    if kind == "rr":
-        return trap(_h2) - ratio_correction * trap(_h1)
-    if kind == "rt":
-        return trap_weighted(_h1)
-    if kind == "t0":
-        return corner(_az0)
-    if kind == "tr":
-        return corner(_az1) - ratio_correction * corner(_az0)
-    if kind == "tt":
-        return trap_weighted(_az2)
-    if kind == "p0":
-        return trap(_pot0)
-    if kind == "pr":
-        return trap(_pot1) - ratio_correction * trap(_pot0)
-    if kind == "pt":
-        return trap_weighted(_pot0)
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    formulas = {
+        "r0": lambda: trap(_h1),
+        "rr": lambda: trap(_h2) - ratio_correction * trap(_h1),
+        "rt": lambda: trap_weighted(_h1),
+        "t0": lambda: corner(_az0),
+        "tr": lambda: corner(_az1) - ratio_correction * corner(_az0),
+        "tt": lambda: trap_weighted(_az2),
+        "p0": lambda: trap(_pot0),
+        "pr": lambda: trap(_pot1) - ratio_correction * trap(_pot0),
+        "pt": lambda: trap_weighted(_pot0),
+    }
+    if kind not in formulas:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    return formulas[kind]()
+
+
+def _point_corners(tp, tm, up, um):
+    """Corner provider: f at (tp, up), (tm, up), (tp, um) and (tm, um)."""
+    chords = [_chord(t, u) for u in (up, um) for t in (tp, tm)]
+    return lambda f: tuple(f(*chord) for chord in chords)
 
 
 def eval_polar_kernel(kind: str, di, dj, grid: PolarGrid) -> np.ndarray:
     """Ring-cell kernel at radial offset di = i - i', angular offset dj = j - j'."""
-    tp, tm = _radial_limits(di, grid)
-    up, um = _theta_nodes(dj, grid.dtheta)
+    corners = _point_corners(*_radial_limits(di, grid), *_theta_nodes(dj, grid.dtheta))
     corr = np.power(grid.ratio, np.asarray(di, dtype=float))
-    return _assemble(kind, tp, tm, up, um, corr, grid.dtheta)
+    return _assemble(kind, corners, corr, grid.dtheta)
+
+
+def _hole_correction(i, grid: PolarGrid):
+    """r0/r_i, the hole's representative radius over the target ring's."""
+    b = grid.ratio
+    r_i = b ** (grid.n - np.asarray(i, dtype=float)) * grid.outer_radius * (1.0 + b) / 2.0
+    return grid.hole_radius_mid / r_i
 
 
 def eval_hole_kernel(kind: str, i, dj, grid: PolarGrid) -> np.ndarray:
     """Hole-cell kernel for absolute target ring i >= 1 and offset dj.
 
-    Radial limits run from 0 to r_edges[0]/r_i; the slope kinds measure the
-    radial excursion from the hole's representative radius.
+    Radial limits run from 0 to r_edges[0]/r_i, which is the ring limit tp
+    at di = i; the slope kinds measure the radial excursion from the hole's
+    representative radius.
     """
     i = np.asarray(i)
     if np.any(i < 1):
         raise ValueError("hole kernels are defined for target rings i >= 1")
-    b = grid.ratio
-    th = 2.0 * np.power(b, np.asarray(i, dtype=float)) / (1.0 + b)
-    up, um = _theta_nodes(dj, grid.dtheta)
-    r_i = grid.ratio ** (grid.n - np.asarray(i, dtype=float)) * grid.outer_radius * (1.0 + b) / 2.0
-    corr = grid.hole_radius_mid / r_i
-    return _assemble(kind, th, np.zeros_like(th), up, um, corr, grid.dtheta)
+    th, _ = _radial_limits(i, grid)
+    corners = _point_corners(th, np.zeros_like(th), *_theta_nodes(dj, grid.dtheta))
+    return _assemble(kind, corners, _hole_correction(i, grid), grid.dtheta)
 
 
 @dataclass
@@ -233,39 +230,27 @@ class PolarKernelTables:
         return self._hole_spectra[kind]
 
 
-def _wrap_radial(n: int) -> np.ndarray:
-    return np.concatenate([np.arange(n + 1), np.arange(-n + 1, 0)])
-
-
 def tabulate_polar_kernels(grid: PolarGrid, kinds=KINDS, threads: int = 1) -> PolarKernelTables:
-    """Tabulate the requested kinds over all offsets, O(n^2) per kind.
+    """Tabulate the requested kinds over all offsets.
 
     ``kinds`` may include the potential family; force and potential tables
-    share the layout and the solver picks what it needs.
+    share the layout and the solver picks what it needs.  Each
+    antiderivative is evaluated once on the lattice of radial limits by
+    trapezoid nodes (um at dj is up at dj + 1); tm stays b*tp, which differs
+    from tp at di + 1 in the last bit.  Tables are bit-identical to
+    eval_polar_kernel and eval_hole_kernel; ``threads`` is ignored.
     """
     n = grid.n
-    di = _wrap_radial(n)[:, None]
-    dj = np.arange(n)[None, :]
-    iabs = np.arange(1, n + 1)[:, None]
-
-    def chunked(fn, rows):
-        if not threads or threads <= 1 or rows.shape[0] < 128:
-            return fn(rows)
-        from concurrent.futures import ThreadPoolExecutor
-        size = rows.shape[0]
-        step = max(64, size // (4 * threads))
-        spans = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-        out = np.empty((size, n))
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for (lo, hi), block in zip(spans, ex.map(lambda s: fn(rows[s[0]:s[1]]), spans)):
-                out[lo:hi] = block
-        return out
-
-    tables = {}
-    hole_tables = {}
-    for kind in kinds:
-        if kind not in KINDS and kind not in POTENTIAL_KINDS:
-            raise ValueError(f"unknown kernel kind {kind!r}")
-        tables[kind] = chunked(lambda r, k=kind: eval_polar_kernel(k, r, dj, grid), di)
-        hole_tables[kind] = chunked(lambda r, k=kind: eval_hole_kernel(k, r, dj, grid), iabs)
+    di = wrap_offsets(n)
+    tp, tm = _radial_limits(di, grid)
+    t = np.concatenate([tp, tm, [0.0]])     # ring limits, then the hole's inner one
+    chord = _chord(t[:, None], _theta_nodes(np.arange(n + 1), grid.dtheta)[0][None, :])
+    values = functools.cache(lambda f: f(*chord))
+    ring = _lattice_corners(values, slice(0, 2 * n), slice(2 * n, 4 * n))
+    # hole limits th(i) are the ring limits tp at di = i = 1..n
+    hole = _lattice_corners(values, slice(1, n + 1), slice(4 * n, None))
+    corr = np.power(grid.ratio, di.astype(float))[:, None]
+    hole_corr = _hole_correction(np.arange(1, n + 1), grid)[:, None]
+    tables = {k: _assemble(k, ring, corr, grid.dtheta) for k in kinds}
+    hole_tables = {k: _assemble(k, hole, hole_corr, grid.dtheta) for k in kinds}
     return PolarKernelTables(grid=grid, tables=tables, hole_tables=hole_tables)

@@ -238,11 +238,15 @@ class DensityField:
             a = getattr(self, name)
             if a.shape != (n, n):
                 raise ValueError(f"{name} must have shape ({n}, {n}), got {a.shape}")
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} holds a non-finite value")
         if self.grid.coords == "polar":
             for name in ("hole_values", "hole_slope_u", "hole_slope_v"):
                 a = getattr(self, name)
                 if a is None or a.shape != (n,):
                     raise ValueError(f"polar field needs {name} of shape ({n},)")
+                if not np.all(np.isfinite(a)):
+                    raise ValueError(f"{name} holds a non-finite value")
 
     def scaled(self, factor: float) -> "DensityField":
         """Field with every value and slope multiplied by ``factor``."""

@@ -64,6 +64,37 @@ class TestSolve:
             assert code == 0
         assert cache.exists()
 
+    def test_truncated_kernel_cache_exits_2(self, tmp_path, capsys):
+        cache = tmp_path / "k.npz"
+        assert main(["kernels", "--N", "12", "--out", str(cache), "--threads", "1"]) == 0
+        with np.load(cache) as data:
+            kept = {k: data[k] for k in data.files if k != "table_xy"}
+        np.savez_compressed(cache, **kept)
+        capsys.readouterr()
+        code = main(["solve", "--N", "12", "--kernel-cache", str(cache),
+                     "--out", str(tmp_path / "f.txt"), "--threads", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "table_xy" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "f.txt").exists()
+
+    def test_non_finite_density_file_exits_2(self, tmp_path, capsys):
+        from thindisk import D2Disk, build_cartesian_grid, sample_density
+        from thindisk.gridio import write_density
+        dens = tmp_path / "d.txt"
+        write_density(dens, sample_density(D2Disk(), build_cartesian_grid(1.0, 16)),
+                      include_slopes=False)
+        lines = dens.read_text().splitlines()
+        lines[2 + 5] = ",".join(["nan"] + lines[2 + 5].split(",")[1:])
+        dens.write_text("\n".join(lines) + "\n")
+        code = main(["solve", "--input", str(dens), "--out", str(tmp_path / "f.txt"),
+                     "--threads", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "row 5 of density" in err
+        assert not (tmp_path / "f.txt").exists()
+
     def test_usage_error(self):
         assert main(["solve", "--coords", "spherical"]) == 1
         assert main(["solve", "--model", "unknown-disk", "--threads", "1"]) == 1

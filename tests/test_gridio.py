@@ -72,6 +72,18 @@ class TestDensityFiles:
         with pytest.raises(FileFormatError):
             read_density(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_block_and_row(self, tmp_path, bad):
+        grid = build_cartesian_grid(1.0, 4)
+        p = tmp_path / "d.txt"
+        write_density(p, sample_density(D2Disk(), grid))
+        lines = p.read_text().splitlines()
+        # two header lines, four density rows and the sentinel come first
+        lines[8] = ",".join([bad] + lines[8].split(",")[1:])
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="row 1 of x-slopes"):
+            read_density(p)
+
     def test_wrong_row_width(self, tmp_path):
         p = tmp_path / "bad.txt"
         rows = "\n".join("1,2,3" for _ in range(4))
@@ -92,6 +104,24 @@ class TestForceFiles:
         assert back.grid == grid
         np.testing.assert_array_equal(back.comp_u, force.comp_u)
         np.testing.assert_array_equal(back.comp_v, force.comp_v)
+
+
+    def test_non_finite_component_rejected(self, tmp_path):
+        grid = build_cartesian_grid(1.0, 4)
+        comp_v = np.ones((4, 4))
+        comp_v[2, 3] = np.nan
+        p = tmp_path / "f.txt"
+        write_force(p, ForceField(grid, np.ones((4, 4)), comp_v))
+        with pytest.raises(FileFormatError, match="row 3 of second component"):
+            read_force(p)
+
+
+def _drop_from_cache(path, key, replace=None):
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files if k != key}
+    if replace is not None:
+        payload[key] = replace
+    np.savez_compressed(path, **payload)
 
 
 class TestKernelCache:
@@ -124,6 +154,35 @@ class TestKernelCache:
             load_kernel_tables(p, build_cartesian_grid(1.0, 16))
         with pytest.raises(FileFormatError):
             load_kernel_tables(p, build_cartesian_grid(2.0, 8))
+
+
+    @pytest.mark.parametrize("key", ["table_xy", "table_y0"])
+    def test_cartesian_missing_kind_rejected(self, tmp_path, key):
+        grid = build_cartesian_grid(1.0, 8)
+        p = tmp_path / "k.npz"
+        save_kernel_tables(p, tabulate_cartesian_kernels(grid))
+        _drop_from_cache(p, key)
+        with pytest.raises(FileFormatError, match=key):
+            load_kernel_tables(p, grid)
+
+    def test_cartesian_wrong_shape_rejected(self, tmp_path):
+        grid = build_cartesian_grid(1.0, 8)
+        p = tmp_path / "k.npz"
+        save_kernel_tables(p, tabulate_cartesian_kernels(grid))
+        _drop_from_cache(p, "table_xx", replace=np.zeros((16, 8)))
+        with pytest.raises(FileFormatError, match="table_xx"):
+            load_kernel_tables(p, grid)
+
+    @pytest.mark.parametrize("key, replace", [("table_rt", None), ("hole_tt", None),
+                                              ("table_r0", np.zeros((8, 8))),
+                                              ("hole_t0", np.zeros((16, 8)))])
+    def test_polar_missing_or_misshapen_kind_rejected(self, tmp_path, key, replace):
+        grid = build_polar_grid(1.0, 8, 0.9)
+        p = tmp_path / "k.npz"
+        save_kernel_tables(p, tabulate_polar_kernels(grid))
+        _drop_from_cache(p, key, replace)
+        with pytest.raises(FileFormatError, match=key):
+            load_kernel_tables(p, grid)
 
 
 class TestReportFiles:

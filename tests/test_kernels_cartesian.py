@@ -93,10 +93,12 @@ class TestTables:
         # wrapped slot for (di, dj) = (-3, 0) lives at row 2n - 3
         assert t.table("x0")[2 * 4 - 3, 0] == eval_cartesian_kernel("x0", -3, 0, grid)
 
-    def test_table_equals_entrywise_eval(self):
-        grid = build_cartesian_grid(1.0, 16)
+    @pytest.mark.parametrize("n", [16, 33])
+    def test_table_equals_entrywise_eval(self, n):
+        # the odd size puts the corner lattice's ends off any symmetry
+        grid = build_cartesian_grid(1.0, n)
         t = tabulate_cartesian_kernels(grid)
-        offs = wrap_offsets(16)
+        offs = wrap_offsets(n)
         for kind in KINDS:
             want = eval_cartesian_kernel(kind, offs[:, None], offs[None, :], grid)
             np.testing.assert_array_equal(t.table(kind), want)

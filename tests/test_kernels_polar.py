@@ -133,16 +133,17 @@ class TestQuadratureOracle:
 
 
 class TestTables:
-    def test_table_equals_entrywise_eval(self, grid16):
-        t = tabulate_polar_kernels(grid16)
-        n = grid16.n
+    @pytest.mark.parametrize("n", [16, 33])
+    def test_table_equals_entrywise_eval(self, n):
+        # the odd size puts the corner lattice's ends off any symmetry
+        grid = build_polar_grid(1.0, n, 0.99)
+        t = tabulate_polar_kernels(grid, kinds=KINDS + POTENTIAL_KINDS)
         wrap = np.concatenate([np.arange(n + 1), np.arange(-n + 1, 0)])
-        for kind in KINDS:
-            want = eval_polar_kernel(kind, wrap[:, None], np.arange(n)[None, :], grid16)
+        for kind in KINDS + POTENTIAL_KINDS:
+            want = eval_polar_kernel(kind, wrap[:, None], np.arange(n)[None, :], grid)
             np.testing.assert_array_equal(t.table(kind), want)
-        for kind in KINDS:
             want = eval_hole_kernel(kind, np.arange(1, n + 1)[:, None],
-                                    np.arange(n)[None, :], grid16)
+                                    np.arange(n)[None, :], grid)
             np.testing.assert_array_equal(t.hole_table(kind), want)
 
     def test_offset_dependence_only(self, grid16):

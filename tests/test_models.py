@@ -184,3 +184,22 @@ class TestSampling:
         from thindisk.models import DensityField
         with pytest.raises(ValueError):
             DensityField(grid, np.zeros((4, 4)), np.zeros((8, 8)), np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("name", ["values", "slope_u", "slope_v"])
+    def test_non_finite_cell_rejected(self, name):
+        grid = build_cartesian_grid(1.0, 8)
+        from thindisk.models import DensityField
+        arrays = {k: np.zeros((8, 8)) for k in ("values", "slope_u", "slope_v")}
+        arrays[name][3, 5] = np.nan
+        with pytest.raises(ValueError, match=name):
+            DensityField(grid, **arrays)
+
+    def test_non_finite_hole_entry_rejected(self):
+        grid = build_polar_grid(1.0, 16, 0.99)
+        from thindisk.models import DensityField
+        f = sample_density(D2Disk(), grid)
+        hole = f.hole_values.copy()
+        hole[2] = np.inf
+        with pytest.raises(ValueError, match="hole_values"):
+            DensityField(grid, f.values, f.slope_u, f.slope_v, hole_values=hole,
+                         hole_slope_u=f.hole_slope_u, hole_slope_v=f.hole_slope_v)
