@@ -33,26 +33,10 @@ def fft_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1),
     return out[:n0, :n1]
 
 
-def fft_convolve_complex(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> np.ndarray:
-    """Reference complex-transform path; must agree with fft_convolve to
-    round-off (checked by tests, since the fast path uses real transforms)."""
-    n0, n1 = field.shape
-    shape = (2 * n0 if 0 in pad_axes else n0, 2 * n1 if 1 in pad_axes else n1)
-    if kernel.shape != shape:
-        raise ValueError(f"kernel shape {kernel.shape} does not match padded shape {shape}")
-    padded = np.zeros(shape, dtype=complex)
-    padded[:n0, :n1] = field
-    out = np.fft.ifft2(np.fft.fft2(kernel) * np.fft.fft2(padded))
-    return np.real(out)[:n0, :n1]
-
-
 def ring_convolve(kernel_rows: np.ndarray, ring: np.ndarray,
                   kernel_spectrum: np.ndarray | None = None) -> np.ndarray:
-    """Circular convolution of each kernel row with a periodic ring.
-
-    out[i, j] = sum_{j'} kernel_rows[i, j - j' mod n] * ring[j'].  Used for
-    the hole-cell sums, where the kernel depends on the absolute ring index.
-    """
+    """Circular convolution of each kernel row with a periodic ring, the form
+    of a hole-cell sum: out[i, j] = sum_{j'} kernel_rows[i, j - j' mod n] * ring[j']."""
     n = ring.shape[0]
     if kernel_rows.shape[1] != n:
         raise ValueError("kernel rows and ring length differ")

@@ -69,7 +69,10 @@ def _read_block(lines, n, what) -> tuple:
         vals = lines[j].split(",")
         if len(vals) != n:
             raise FileFormatError(f"row {j} of {what} has {len(vals)} values, expected {n}")
-        out[:, j] = [float(v) for v in vals]
+        try:
+            out[:, j] = [float(v) for v in vals]
+        except ValueError as exc:
+            raise FileFormatError(f"row {j} of {what} holds a non-numeric value ({exc})") from None
     bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
     if bad.size:
         raise FileFormatError(f"row {bad[0]} of {what} holds a non-finite value")

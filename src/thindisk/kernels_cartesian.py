@@ -112,6 +112,15 @@ def wrap_offsets(n: int) -> np.ndarray:
     return np.concatenate([np.arange(n + 1), np.arange(-n + 1, 0)])
 
 
+def _lazy_spectrum(attr: str, transform):
+    """Method caching transform(self.<attr>[kind]) per kind in self._spectra."""
+    def spectrum(self, kind: str) -> np.ndarray:
+        if (attr, kind) not in self._spectra:
+            self._spectra[attr, kind] = transform(getattr(self, attr)[kind])
+        return self._spectra[attr, kind]
+    return spectrum
+
+
 @dataclass
 class KernelTables:
     """All six kernels tabulated in the 2n x 2n wrap-around layout.
@@ -128,10 +137,8 @@ class KernelTables:
     def table(self, kind: str) -> np.ndarray:
         return self.tables[kind]
 
-    def spectrum(self, kind: str) -> np.ndarray:
-        if kind not in self._spectra:
-            self._spectra[kind] = np.fft.rfft2(self.tables[kind])
-        return self._spectra[kind]
+    # numpy.fft is looked up per call, so code that wraps its functions sees these
+    spectrum = _lazy_spectrum("tables", lambda a: np.fft.rfft2(a))
 
 
 def tabulate_cartesian_kernels(grid: CartesianGrid, threads: int = 1) -> KernelTables:

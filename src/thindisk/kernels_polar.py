@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import PolarGrid
-from .kernels_cartesian import _lattice_corners, _log_plus_hypot, wrap_offsets
+from .kernels_cartesian import _lattice_corners, _lazy_spectrum, _log_plus_hypot, wrap_offsets
 
 KINDS = ("r0", "rr", "rt", "t0", "tr", "tt")
 POTENTIAL_KINDS = ("p0", "pr", "pt")
@@ -211,7 +211,6 @@ class PolarKernelTables:
     tables: dict = field(repr=False)
     hole_tables: dict = field(repr=False)
     _spectra: dict = field(default_factory=dict, repr=False)
-    _hole_spectra: dict = field(default_factory=dict, repr=False)
 
     def table(self, kind: str) -> np.ndarray:
         return self.tables[kind]
@@ -219,15 +218,8 @@ class PolarKernelTables:
     def hole_table(self, kind: str) -> np.ndarray:
         return self.hole_tables[kind]
 
-    def spectrum(self, kind: str) -> np.ndarray:
-        if kind not in self._spectra:
-            self._spectra[kind] = np.fft.rfft2(self.tables[kind])
-        return self._spectra[kind]
-
-    def hole_spectrum(self, kind: str) -> np.ndarray:
-        if kind not in self._hole_spectra:
-            self._hole_spectra[kind] = np.fft.rfft(self.hole_tables[kind], axis=1)
-        return self._hole_spectra[kind]
+    spectrum = _lazy_spectrum("tables", lambda a: np.fft.rfft2(a))
+    hole_spectrum = _lazy_spectrum("hole_tables", lambda a: np.fft.rfft(a, axis=1))
 
 
 def tabulate_polar_kernels(grid: PolarGrid, kinds=KINDS, threads: int = 1) -> PolarKernelTables:

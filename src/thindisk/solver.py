@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .convolve import fft_convolve, ring_convolve
+from .convolve import direct_convolve, ring_convolve_direct
 from .grids import CartesianGrid, PolarGrid
 from .kernels_cartesian import KernelTables
 from .kernels_polar import POTENTIAL_KINDS, PolarKernelTables, tabulate_polar_kernels
@@ -60,24 +60,105 @@ class ForceField:
         return (X * self.comp_u + Y * self.comp_v) / R
 
 
-def _require_same_grid(field: DensityField, tables) -> None:
+# Term tables: a row (output, kernel kind, input plane, r_i factor) adds [r_i *]
+# conv(kind, plane) to an output; polar rows also run over the hole tables and rings.
+CARTESIAN_TERMS = (
+    (0, "x0", "values", False), (0, "xx", "slope_u", False), (0, "xy", "slope_v", False),
+    (1, "y0", "values", False), (1, "yx", "slope_u", False), (1, "yy", "slope_v", False),
+)
+POLAR_TERMS = (
+    (0, "r0", "values", False), (0, "rr", "slope_u", True), (0, "rt", "slope_v", False),
+    (1, "t0", "values", False), (1, "tr", "slope_u", True), (1, "tt", "slope_v", False),
+)
+POTENTIAL_TERMS = ((0, "p0", "values", False), (0, "pr", "slope_u", True), (0, "pt", "slope_v", False))
+
+
+def _direct_sums(terms, field: DensityField, tables) -> dict:
+    grid = field.grid
+    pad = (0,) if grid.coords == "polar" else (0, 1)
+    passes = [(tables.table, "", lambda k, a: direct_convolve(k, a, pad_axes=pad))]
+    if grid.coords == "polar":
+        passes.append((tables.hole_table, "hole_", ring_convolve_direct))
+    outs = {}
+    for table, prefix, conv in passes:
+        for out, kind, plane, radial in terms:
+            term = conv(table(kind), getattr(field, prefix + plane))
+            term = grid.r_centers[:, None] * term if radial else term
+            outs[out] = outs[out] + term if out in outs else term
+    return outs
+
+
+def _accumulate(accs: dict, key, a: np.ndarray, b: np.ndarray) -> None:
+    """accs[key] += a * b, 64 columns at a time: no spectrum-sized temporary."""
+    if key not in accs:
+        accs[key] = a * b
+        return
+    for j in range(0, a.shape[-1], 64):
+        accs[key][..., j:j + 64] += a[..., j:j + 64] * b[..., j:j + 64]
+
+
+def _fft_sums(terms, field: DensityField, tables) -> dict:
+    grid, n = field.grid, field.grid.n
+    shape = (2 * n, n if grid.coords == "polar" else 2 * n)
+    order = sorted(dict.fromkeys(p for _, _, p, _ in terms),
+                   key=lambda p: not any(r for _, _, q, r in terms if q == p))
+    # the plane after which each (output, r_i factor) accumulator is complete
+    last = {(o, r): p for p in order for o, _, q, r in terms if q == p}
+    # the inverse writes over the spent accumulator: one temporary, not two
+    passes = [(tables.spectrum, "", lambda a: np.fft.rfft2(a, s=shape),
+               lambda a: np.fft.irfftn(a, s=shape, axes=(0, 1),
+                                       out=a.view(float)[:, :shape[1]])[:n, :n].copy())]
+    if grid.coords == "polar":
+        passes.append((tables.hole_spectrum, "hole_", np.fft.rfft,
+                       lambda a: np.fft.irfft(a, n=n, axis=1)))
+    outs = {}
+    for spectrum, prefix, forward, inverse in passes:
+        kernels = {kind: spectrum(kind) for _, kind, _, _ in terms}
+        accs = {}
+        for plane in order:
+            spec = forward(getattr(field, prefix + plane))
+            for out, kind, _, radial in (t for t in terms if t[2] == plane):
+                _accumulate(accs, (out, radial), kernels[kind], spec)
+            del spec
+            for out, radial in [k for k, p in last.items() if p == plane]:
+                term = inverse(accs.pop((out, radial)))
+                term = grid.r_centers[:, None] * term if radial else term
+                outs[out] = outs[out] + term if out in outs else term
+    return outs
+
+
+def assemble(terms, field: DensityField, tables, backend: str = "fft") -> list:
+    """Run a term table; one (n, n) array per output, in output order.
+
+    "direct" convolves term by term (the O(n^4) oracle) and sums in table
+    order, plane terms before hole-ring terms.  "fft" gets the kernel
+    spectra first, transforms the inputs one at a time (r_i-group planes
+    first, hole rings last) into per-(output, r_i factor) accumulators, and
+    inverts each right after its last input."""
+    outs = {"fft": _fft_sums, "direct": _direct_sums}[backend](terms, field, tables)
+    return [outs[k] for k in sorted(outs)]
+
+
+def _force(terms, field: DensityField, tables, backend: str,
+           sign_convention: str = "attractive") -> ForceField:
     if field.grid is not tables.grid and field.grid != tables.grid:
         raise ValueError("density field and kernel tables were built on different grids")
+    u, v = assemble(terms, field, tables, backend)
+    if field.grid.coords == "polar":
+        u = -u      # radial family orientation: its integrand is outward-positive
+    out = ForceField(field.grid, u, v, slope_source=field.slope_source)
+    return out if sign_convention == "attractive" else out.flipped()
 
 
 def solve_cartesian(field: DensityField, tables: KernelTables,
                     sign_convention: str = "attractive") -> ForceField:
     """Both force components as three kernel convolutions each."""
-    _require_same_grid(field, tables)
+    return _force(CARTESIAN_TERMS, field, tables, "fft", sign_convention)
 
-    def conv(kind, data):
-        return fft_convolve(tables.table(kind), data,
-                            kernel_spectrum=tables.spectrum(kind))
 
-    fx = conv("x0", field.values) + conv("xx", field.slope_u) + conv("xy", field.slope_v)
-    fy = conv("y0", field.values) + conv("yx", field.slope_u) + conv("yy", field.slope_v)
-    out = ForceField(field.grid, fx, fy, slope_source=field.slope_source)
-    return out if sign_convention == "attractive" else out.flipped()
+def solve_cartesian_direct(field: DensityField, tables: KernelTables) -> ForceField:
+    """Direct-summation twin of solve_cartesian (oracle and benchmark path)."""
+    return _force(CARTESIAN_TERMS, field, tables, "direct")
 
 
 def solve_polar(field: DensityField, tables: PolarKernelTables,
@@ -88,66 +169,12 @@ def solve_polar(field: DensityField, tables: PolarKernelTables,
     needs no 1/r_i prefactor because it cancels against the kernel's own
     scale, leaving pure offset convolutions.
     """
-    _require_same_grid(field, tables)
-    grid: PolarGrid = field.grid
-    r = grid.r_centers[:, None]
-
-    def conv(kind, data):
-        return fft_convolve(tables.table(kind), data, pad_axes=(0,),
-                            kernel_spectrum=tables.spectrum(kind))
-
-    def hole(kind, ring):
-        return ring_convolve(tables.hole_table(kind), ring,
-                             kernel_spectrum=tables.hole_spectrum(kind))
-
-    fr = (conv("r0", field.values) + r * conv("rr", field.slope_u)
-          + conv("rt", field.slope_v)
-          + hole("r0", field.hole_values) + r * hole("rr", field.hole_slope_u)
-          + hole("rt", field.hole_slope_v))
-    ft = (conv("t0", field.values) + r * conv("tr", field.slope_u)
-          + conv("tt", field.slope_v)
-          + hole("t0", field.hole_values) + r * hole("tr", field.hole_slope_u)
-          + hole("tt", field.hole_slope_v))
-    # radial family orientation: its integrand is outward-positive
-    out = ForceField(grid, -fr, ft, slope_source=field.slope_source)
-    return out if sign_convention == "attractive" else out.flipped()
+    return _force(POLAR_TERMS, field, tables, "fft", sign_convention)
 
 
 def solve_polar_direct(field: DensityField, tables: PolarKernelTables) -> ForceField:
     """Direct-summation twin of solve_polar (oracle; attractive convention)."""
-    from .convolve import direct_convolve, ring_convolve_direct
-    _require_same_grid(field, tables)
-    grid: PolarGrid = field.grid
-    r = grid.r_centers[:, None]
-
-    def conv(kind, data):
-        return direct_convolve(tables.table(kind), data, pad_axes=(0,))
-
-    def hole(kind, ring):
-        return ring_convolve_direct(tables.hole_table(kind), ring)
-
-    fr = (conv("r0", field.values) + r * conv("rr", field.slope_u)
-          + conv("rt", field.slope_v)
-          + hole("r0", field.hole_values) + r * hole("rr", field.hole_slope_u)
-          + hole("rt", field.hole_slope_v))
-    ft = (conv("t0", field.values) + r * conv("tr", field.slope_u)
-          + conv("tt", field.slope_v)
-          + hole("t0", field.hole_values) + r * hole("tr", field.hole_slope_u)
-          + hole("tt", field.hole_slope_v))
-    return ForceField(grid, -fr, ft, slope_source=field.slope_source)
-
-
-def solve_cartesian_direct(field: DensityField, tables: KernelTables) -> ForceField:
-    """Direct-summation twin of solve_cartesian (oracle and benchmark path)."""
-    from .convolve import direct_convolve
-    _require_same_grid(field, tables)
-
-    def conv(kind, data):
-        return direct_convolve(tables.table(kind), data)
-
-    fx = conv("x0", field.values) + conv("xx", field.slope_u) + conv("xy", field.slope_v)
-    fy = conv("y0", field.values) + conv("yx", field.slope_u) + conv("yy", field.slope_v)
-    return ForceField(field.grid, fx, fy, slope_source=field.slope_source)
+    return _force(POLAR_TERMS, field, tables, "direct")
 
 
 def polar_potential(field: DensityField, tables: PolarKernelTables | None = None) -> np.ndarray:
@@ -163,18 +190,4 @@ def polar_potential(field: DensityField, tables: PolarKernelTables | None = None
         raise ValueError("polar_potential needs a polar density field")
     if tables is None or any(k not in tables.tables for k in POTENTIAL_KINDS):
         tables = tabulate_polar_kernels(grid, kinds=POTENTIAL_KINDS)
-    r = grid.r_centers[:, None]
-
-    def conv(kind, data):
-        return fft_convolve(tables.table(kind), data, pad_axes=(0,),
-                            kernel_spectrum=tables.spectrum(kind))
-
-    def hole(kind, ring):
-        return ring_convolve(tables.hole_table(kind), ring,
-                             kernel_spectrum=tables.hole_spectrum(kind))
-
-    acc = (conv("p0", field.values) + r * conv("pr", field.slope_u)
-           + conv("pt", field.slope_v)
-           + hole("p0", field.hole_values) + r * hole("pr", field.hole_slope_u)
-           + hole("pt", field.hole_slope_v))
-    return -r * acc
+    return -grid.r_centers[:, None] * assemble(POTENTIAL_TERMS, field, tables)[0]

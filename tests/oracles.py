@@ -1,6 +1,7 @@
-"""Independent quadrature oracles for the kernel closed forms.
+"""Independent oracles: quadrature for the kernel closed forms and a
+complex-transform convolution for the real-transform FFT path.
 
-These integrate the defining cell integrals with adaptive quadrature and
+The quadrature oracles integrate the defining cell integrals adaptively and
 stay deliberately independent of the antiderivative code they check.
 """
 import numpy as np
@@ -98,3 +99,16 @@ def quad_log_one_minus_cos(a):
     val, _ = quad(lambda t: np.log(2.0 * np.sin(0.5 * t) ** 2), 0.0, a,
                   epsabs=1e-15, epsrel=1e-14, limit=200)
     return 2.0 * val
+
+
+def fft_convolve_complex(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> np.ndarray:
+    """Reference complex-transform path; must agree with fft_convolve to
+    round-off (the fast path uses real transforms)."""
+    n0, n1 = field.shape
+    shape = (2 * n0 if 0 in pad_axes else n0, 2 * n1 if 1 in pad_axes else n1)
+    if kernel.shape != shape:
+        raise ValueError(f"kernel shape {kernel.shape} does not match padded shape {shape}")
+    padded = np.zeros(shape, dtype=complex)
+    padded[:n0, :n1] = field
+    out = np.fft.ifft2(np.fft.fft2(kernel) * np.fft.fft2(padded))
+    return np.real(out)[:n0, :n1]

@@ -95,6 +95,21 @@ class TestSolve:
         assert err.startswith("error:") and "row 5 of density" in err
         assert not (tmp_path / "f.txt").exists()
 
+    def test_non_numeric_density_file_exits_2(self, tmp_path, capsys):
+        from thindisk import D2Disk, build_cartesian_grid, sample_density
+        from thindisk.gridio import write_density
+        dens = tmp_path / "d.txt"
+        write_density(dens, sample_density(D2Disk(), build_cartesian_grid(1.0, 16)),
+                      include_slopes=False)
+        lines = dens.read_text().splitlines()
+        lines[2 + 3] = ",".join(lines[2 + 3].split(",")[:-1] + ["abc"])
+        dens.write_text("\n".join(lines) + "\n")
+        code = main(["solve", "--input", str(dens), "--out", str(tmp_path / "f.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "row 3 of density" in err and "'abc'" in err
+        assert not (tmp_path / "f.txt").exists()
+
     def test_usage_error(self):
         assert main(["solve", "--coords", "spherical"]) == 1
         assert main(["solve", "--model", "unknown-disk", "--threads", "1"]) == 1

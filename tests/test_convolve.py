@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from thindisk.convolve import (direct_convolve, fft_convolve, fft_convolve_complex,
-                               ring_convolve, ring_convolve_direct)
+from oracles import fft_convolve_complex
+from thindisk.convolve import (direct_convolve, fft_convolve, ring_convolve,
+                               ring_convolve_direct)
 
 
 def _rng(seed=0):

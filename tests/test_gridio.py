@@ -84,6 +84,16 @@ class TestDensityFiles:
         with pytest.raises(FileFormatError, match="row 1 of x-slopes"):
             read_density(p)
 
+    def test_non_numeric_token_names_block_and_row(self, tmp_path):
+        grid = build_cartesian_grid(1.0, 4)
+        p = tmp_path / "d.txt"
+        write_density(p, sample_density(D2Disk(), grid), include_slopes=False)
+        lines = p.read_text().splitlines()
+        lines[4] = ",".join(["abc"] + lines[4].split(",")[1:])
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="row 2 of density .*'abc'"):
+            read_density(p)
+
     def test_wrong_row_width(self, tmp_path):
         p = tmp_path / "bad.txt"
         rows = "\n".join("1,2,3" for _ in range(4))

@@ -7,7 +7,9 @@ from thindisk import (CallableModel, D2Disk, D2PairDisk, build_cartesian_grid,
                       tabulate_cartesian_kernels, tabulate_polar_kernels)
 from thindisk.analysis import array_norms
 from thindisk.models import DensityField
-from thindisk.solver import ForceField, polar_potential
+from thindisk.kernels_polar import KINDS as POLAR_KINDS, POTENTIAL_KINDS
+from thindisk.solver import (CARTESIAN_TERMS, POLAR_TERMS, POTENTIAL_TERMS, ForceField,
+                             assemble, polar_potential)
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +216,109 @@ class TestPolarPotential:
         grid = build_cartesian_grid(1.0, 8)
         with pytest.raises(ValueError):
             polar_potential(_zero_field(grid))
+
+
+def _rel_diff(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestBackends:
+    """The FFT backend of each term table against the direct oracle."""
+
+    @pytest.mark.parametrize("n", [16, 33])
+    def test_cartesian_force(self, n):
+        grid = build_cartesian_grid(1.0, n)
+        tables = tabulate_cartesian_kernels(grid)
+        field = _random_field(grid, n)
+        fast = assemble(CARTESIAN_TERMS, field, tables, "fft")
+        slow = assemble(CARTESIAN_TERMS, field, tables, "direct")
+        assert len(fast) == len(slow) == 2
+        for a, b in zip(fast, slow):
+            assert _rel_diff(a, b) < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 33])
+    def test_polar_force_and_potential_with_hole_ring(self, n):
+        grid = build_polar_grid(1.0, n, 0.99)
+        tables = tabulate_polar_kernels(grid, kinds=POLAR_KINDS + POTENTIAL_KINDS)
+        field = _random_field(grid, n)
+        for terms, outputs in ((POLAR_TERMS, 2), (POTENTIAL_TERMS, 1)):
+            fast = assemble(terms, field, tables, "fft")
+            slow = assemble(terms, field, tables, "direct")
+            assert len(fast) == len(slow) == outputs
+            for a, b in zip(fast, slow):
+                assert _rel_diff(a, b) < 1e-12
+        # the hole ring alone reaches every output through both backends
+        f = _zero_field(grid)
+        hole_only = DensityField(grid, f.values, f.slope_u, f.slope_v,
+                                 hole_values=field.hole_values,
+                                 hole_slope_u=field.hole_slope_u,
+                                 hole_slope_v=field.hole_slope_v)
+        for a, b in zip(assemble(POLAR_TERMS, hole_only, tables, "fft"),
+                        assemble(POLAR_TERMS, hole_only, tables, "direct")):
+            assert np.abs(b).max() > 0.0
+            assert _rel_diff(a, b) < 1e-12
+
+    def test_wrappers_run_the_tables(self):
+        grid = build_polar_grid(1.0, 16, 0.99)
+        tables = tabulate_polar_kernels(grid, kinds=POLAR_KINDS + POTENTIAL_KINDS)
+        field = _random_field(grid, 7)
+        fr, ft = assemble(POLAR_TERMS, field, tables, "direct")
+        out = solve_polar_direct(field, tables)
+        np.testing.assert_array_equal(out.comp_u, -fr)
+        np.testing.assert_array_equal(out.comp_v, ft)
+        (phi,) = assemble(POTENTIAL_TERMS, field, tables)
+        np.testing.assert_array_equal(polar_potential(field, tables),
+                                      -grid.r_centers[:, None] * phi)
+
+
+@pytest.mark.parametrize("solve", [solve_cartesian, solve_cartesian_direct])
+def test_mirrored_density_gives_mirrored_force(solve):
+    # x -> -x reverses the first axis and the sign of d/dx; Fx changes sign
+    grid = build_cartesian_grid(1.0, 16)
+    tables = tabulate_cartesian_kernels(grid)
+    field = _random_field(grid, 11)
+    mirror = DensityField(grid, field.values[::-1].copy(), -field.slope_u[::-1],
+                          field.slope_v[::-1].copy())
+    a = solve(field, tables)
+    b = solve(mirror, tables)
+    assert _rel_diff(b.comp_u, -a.comp_u[::-1]) < 1e-12
+    assert _rel_diff(b.comp_v, a.comp_v[::-1]) < 1e-12
+
+
+class TestTransformCounts:
+    """Each input plane is transformed once and each accumulator inverted
+    once; a per-term transform path would raise these counts."""
+
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                     "fftn", "ifftn", "rfftn", "irfftn"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    def test_cartesian_warm_and_cold(self, fft_calls):
+        grid = build_cartesian_grid(1.0, 16)
+        tables = tabulate_cartesian_kernels(grid)
+        field = _random_field(grid, 1)
+        solve_cartesian(field, tables)              # cold: six kernel spectra too
+        assert len(fft_calls) == 11
+        fft_calls.clear()
+        solve_cartesian(field, tables)
+        assert len(fft_calls) == 5
+        assert sum(name.startswith("i") for name in fft_calls) == 2
+
+    def test_polar_warm(self, fft_calls):
+        grid = build_polar_grid(1.0, 16, 0.99)
+        tables = tabulate_polar_kernels(grid)
+        field = _random_field(grid, 2)
+        solve_polar(field, tables)
+        fft_calls.clear()
+        solve_polar(field, tables)
+        assert len(fft_calls) <= 14
 
 
 class TestForceField:
