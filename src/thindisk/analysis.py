@@ -89,16 +89,6 @@ def restrict_fine_to_coarse(fine: ForceField) -> ForceField:
                       slope_source=fine.slope_source)
 
 
-def restrict_to(fine: ForceField, n_target: int) -> ForceField:
-    """Repeated 2x2 restriction down to an n_target grid."""
-    if fine.grid.n % n_target or (fine.grid.n // n_target) & (fine.grid.n // n_target - 1):
-        raise ValueError(f"{fine.grid.n} is not a power-of-two multiple of {n_target}")
-    out = fine
-    while out.grid.n > n_target:
-        out = restrict_fine_to_coarse(out)
-    return out
-
-
 def restrict_closest4(fine: ForceField, n_target: int) -> ForceField:
     """Average, per coarse cell, the four fine values nearest its center.
 
@@ -207,10 +197,10 @@ class ConvergenceReport:
                    n_values=n_values, norms=norms, metadata=meta)
 
 
-def _proposed_cartesian(model, n, half_width, slope_mode, threads=1):
+def _proposed_cartesian(model, n, half_width, slope_mode):
     grid = build_cartesian_grid(half_width, n)
     fld = sample_density(model, grid, slopes=slope_mode)
-    tables = tabulate_cartesian_kernels(grid, threads=threads)
+    tables = tabulate_cartesian_kernels(grid)
     return grid, solve_cartesian(fld, tables)
 
 
@@ -229,13 +219,12 @@ def _analytic_force(model, grid) -> ForceField:
 
 def run_convergence(model, n_values, coords="cartesian", method="proposed",
                     half_width=1.0, beta0=0.99, slope_mode="auto",
-                    row_convention="plain", threads=1) -> ConvergenceReport:
+                    row_convention="plain") -> ConvergenceReport:
     """Sweep resolutions against the model's analytic force.
 
     row_convention "reference" reproduces the frozen reference tables: cell
     weights doubled in linear size (scales L1 by 4 and L2 by 2) and, in
     Cartesian coordinates, each labeled row solved at twice its label.
-    ``threads`` is passed on to the tabulation, which ignores it.
     """
     if row_convention not in ("plain", "reference"):
         raise ValueError(f"unknown row convention {row_convention!r}")
@@ -253,7 +242,7 @@ def run_convergence(model, n_values, coords="cartesian", method="proposed",
         if coords == "cartesian":
             n_solve = 2 * n if row_convention == "reference" else n
             if method == "proposed":
-                grid, num = _proposed_cartesian(model, n_solve, half_width, slope_mode, threads)
+                grid, num = _proposed_cartesian(model, n_solve, half_width, slope_mode)
             elif method == "softening":
                 grid = build_cartesian_grid(half_width, n_solve)
                 fld = sample_density(model, grid, slopes=slope_mode)
@@ -265,7 +254,7 @@ def run_convergence(model, n_values, coords="cartesian", method="proposed",
                 raise ValueError("polar sweeps support the proposed method only")
             grid = build_polar_grid(half_width, n, beta0)
             fld = sample_density(model, grid, slopes=slope_mode)
-            num = solve_polar(fld, tabulate_polar_kernels(grid, threads=threads))
+            num = solve_polar(fld, tabulate_polar_kernels(grid))
         res = error_norms(num, _analytic_force(model, grid), grid)
         for c in components:
             e1, e2, ei = res[c]
@@ -280,22 +269,21 @@ def run_convergence(model, n_values, coords="cartesian", method="proposed",
 
 
 def run_self_convergence(model, n_values, truth_n, half_width=1.0,
-                         slope_mode="auto", threads=1) -> ConvergenceReport:
+                         slope_mode="auto") -> ConvergenceReport:
     """Cartesian sweep measured against a fine-grid solve restricted down.
 
     The fine reference is brought to each coarse grid by the closest-four
     average, so coarse rows compare against local fine values rather than a
-    fully homogenized block mean.  ``threads`` is passed on to the
-    tabulation, which ignores it.
+    fully homogenized block mean.
     """
     for n in n_values:
         if truth_n % n or (truth_n // n) & (truth_n // n - 1):
             raise ValueError(f"truth resolution {truth_n} does not restrict to {n}")
-    _, truth = _proposed_cartesian(model, truth_n, half_width, slope_mode, threads)
+    _, truth = _proposed_cartesian(model, truth_n, half_width, slope_mode)
     components = ["x", "y", "R"]
     norms = {c: [] for c in components}
     for n in n_values:
-        grid, num = _proposed_cartesian(model, n, half_width, slope_mode, threads)
+        grid, num = _proposed_cartesian(model, n, half_width, slope_mode)
         ref = restrict_closest4(truth, n)
         res = error_norms(num, ref, grid)
         for c in components:

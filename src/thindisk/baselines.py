@@ -177,8 +177,8 @@ def solve_softened_cartesian(field: DensityField, cfg: SofteningConfig | None = 
     phi = softened_potential(field, cfg, method=method)
     fx = -_difference_axis0(phi, grid.dx)
     fy = -_difference_axis0(phi.T, grid.dx).T
-    out = ForceField(grid, fx, fy, slope_source=field.slope_source)
-    return out if sign_convention == "attractive" else out.flipped()
+    return ForceField(grid, fx, fy, slope_source=field.slope_source).as_convention(
+        sign_convention)
 
 
 def kalnajs_potential_axisym(sigma_of_r, radii, cfg: KalnajsConfig | None = None) -> np.ndarray:

@@ -90,18 +90,6 @@ def _apply_config(args, argv):
     return args
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("THINDISK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"bad THINDISK_THREADS value {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def _write_text(path, text: str) -> None:
     """Write a report to ``path`` and say so, or to stdout without a path."""
     if path:
@@ -118,10 +106,10 @@ def _build_grid(args):
     return build_polar_grid(args.M, args.N, args.beta0)
 
 
-def _tabulate(grid, threads):
+def _tabulate(grid):
     if grid.coords == "cartesian":
-        return tabulate_cartesian_kernels(grid, threads=threads)
-    return tabulate_polar_kernels(grid, threads=threads)
+        return tabulate_cartesian_kernels(grid)
+    return tabulate_polar_kernels(grid)
 
 
 def _build_field(args):
@@ -135,7 +123,6 @@ def _build_field(args):
 
 
 def cmd_solve(args) -> int:
-    threads = _threads(args)
     grid, field, model = _build_field(args)
     if args.method == "softening":
         if grid.coords != "cartesian":
@@ -146,7 +133,7 @@ def cmd_solve(args) -> int:
         if args.kernel_cache and os.path.exists(args.kernel_cache):
             tables = gridio.load_kernel_tables(args.kernel_cache, grid)
         else:
-            tables = _tabulate(grid, threads)
+            tables = _tabulate(grid)
             if args.kernel_cache:
                 gridio.save_kernel_tables(args.kernel_cache, tables)
         solve = solve_cartesian if grid.coords == "cartesian" else solve_polar
@@ -166,17 +153,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    threads = _threads(args)
     model = make_model(args.model, args.alpha, args.sigma0)
     if args.truth_N:
         report = analysis.run_self_convergence(
-            model, args.N, args.truth_N, half_width=args.M,
-            slope_mode=args.slopes, threads=threads)
+            model, args.N, args.truth_N, half_width=args.M, slope_mode=args.slopes)
     else:
         report = analysis.run_convergence(
             model, args.N, coords=args.coords, method=args.method,
             half_width=args.M, beta0=args.beta0, slope_mode=args.slopes,
-            row_convention=args.row_convention, threads=threads)
+            row_convention=args.row_convention)
     _write_text(args.out, report.to_csv())
     return 0
 
@@ -199,26 +184,25 @@ def _timeit(fn, repeats: int) -> float:
     return float(np.mean(vals))
 
 
-def run_bench(n_values, repeats=3, direct_n=(), half_width=1.0, threads=1):
+def run_bench(n_values, repeats=3, direct_n=(), half_width=1.0):
     """Timing records for the fast method, the softened method and the
-    literal direct summation (the latter usually on a smaller N list).
-    ``threads`` is passed on to the tabulation, which ignores it."""
+    literal direct summation (the latter usually on a smaller N list)."""
     model = D2Disk()
     records = []
     for n in n_values:
         grid = build_cartesian_grid(half_width, n)
         field = sample_density(model, grid)
         # untimed warmup: fft twiddle caches and allocator pools are per-size
-        solve_cartesian(field, tabulate_cartesian_kernels(grid, threads=threads))
-        t_kernel = _timeit(lambda: tabulate_cartesian_kernels(grid, threads=threads), repeats)
-        tables = tabulate_cartesian_kernels(grid, threads=threads)
+        solve_cartesian(field, tabulate_cartesian_kernels(grid))
+        t_kernel = _timeit(lambda: tabulate_cartesian_kernels(grid), repeats)
+        tables = tabulate_cartesian_kernels(grid)
         for kind in tables.tables:
             tables.spectrum(kind)
 
         t_force = _timeit(lambda: solve_cartesian(field, tables), repeats)
 
         def whole():
-            tb = tabulate_cartesian_kernels(grid, threads=threads)
+            tb = tabulate_cartesian_kernels(grid)
             return solve_cartesian(field, tb)
 
         t_whole = _timeit(whole, repeats)
@@ -232,9 +216,9 @@ def run_bench(n_values, repeats=3, direct_n=(), half_width=1.0, threads=1):
     for n in direct_n:
         grid = build_cartesian_grid(half_width, n)
         field = sample_density(model, grid)
-        tables = tabulate_cartesian_kernels(grid, threads=threads)
+        tables = tabulate_cartesian_kernels(grid)
         solve_cartesian_direct(field, tables)   # warmup
-        t_kernel = _timeit(lambda: tabulate_cartesian_kernels(grid, threads=threads), repeats)
+        t_kernel = _timeit(lambda: tabulate_cartesian_kernels(grid), repeats)
         t_direct = _timeit(lambda: solve_cartesian_direct(field, tables), repeats)
         records.append(TimingRecord("kernel", "direct", n, t_kernel, repeats))
         records.append(TimingRecord("force", "direct", n, t_direct, repeats))
@@ -251,14 +235,14 @@ def bench_csv(records) -> str:
 
 def cmd_bench(args) -> int:
     records = run_bench(args.N, repeats=args.repeats, direct_n=args.direct_N or [],
-                        half_width=args.M, threads=_threads(args))
+                        half_width=args.M)
     _write_text(args.out, bench_csv(records))
     return 0
 
 
 def cmd_kernels(args) -> int:
     grid = _build_grid(args)
-    tables = _tabulate(grid, _threads(args))
+    tables = _tabulate(grid)
     gridio.save_kernel_tables(args.out, tables)
     reloaded = gridio.load_kernel_tables(args.out, grid)
     for kind, arr in tables.tables.items():
@@ -300,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="key = value config file")
         sp.add_argument("--threads", type=int, default=0,
-                        help="accepted for compatibility; every stage runs on one "
-                             "thread (default: THINDISK_THREADS or all cores)")
+                        help="accepted for compatibility; every stage runs on one thread")
         sp.add_argument("--M", type=float, default=1.0, help="domain half-width / outer radius")
         sp.add_argument("--alpha", type=float, default=0.25, help="disk cutoff radius")
         sp.add_argument("--sigma0", type=float, default=1.0, help="central surface density")

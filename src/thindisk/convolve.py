@@ -12,14 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def fft_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1),
-                 kernel_spectrum: np.ndarray | None = None) -> np.ndarray:
+def fft_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> np.ndarray:
     """out[i, j] = sum_{i', j'} kernel[i - i', j - j'] * field[i', j'].
 
     ``kernel`` is in wrap layout: axis length 2n where ``pad_axes`` applies
     (offsets 0..n then -n+1..-1), length n on periodic axes (offsets modulo
-    n).  ``field`` is n x n.  A precomputed rfft2 of the kernel may be
-    passed to skip one transform.
+    n).  ``field`` is n x n.
     """
     n0, n1 = field.shape
     shape = (2 * n0 if 0 in pad_axes else n0, 2 * n1 if 1 in pad_axes else n1)
@@ -27,22 +25,9 @@ def fft_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1),
         raise ValueError(f"kernel shape {kernel.shape} does not match padded shape {shape}")
     padded = np.zeros(shape)
     padded[:n0, :n1] = field
-    if kernel_spectrum is None:
-        kernel_spectrum = np.fft.rfft2(kernel)
+    kernel_spectrum = np.fft.rfft2(kernel)  # named: a product of temporaries rounds differently
     out = np.fft.irfft2(kernel_spectrum * np.fft.rfft2(padded), s=shape)
     return out[:n0, :n1]
-
-
-def ring_convolve(kernel_rows: np.ndarray, ring: np.ndarray,
-                  kernel_spectrum: np.ndarray | None = None) -> np.ndarray:
-    """Circular convolution of each kernel row with a periodic ring, the form
-    of a hole-cell sum: out[i, j] = sum_{j'} kernel_rows[i, j - j' mod n] * ring[j']."""
-    n = ring.shape[0]
-    if kernel_rows.shape[1] != n:
-        raise ValueError("kernel rows and ring length differ")
-    if kernel_spectrum is None:
-        kernel_spectrum = np.fft.rfft(kernel_rows, axis=1)
-    return np.fft.irfft(kernel_spectrum * np.fft.rfft(ring)[None, :], n=n, axis=1)
 
 
 def direct_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> np.ndarray:
@@ -70,6 +55,7 @@ def direct_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> n
 
 
 def ring_convolve_direct(kernel_rows: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """Hole-cell sum: out[i, j] = sum_{j'} kernel_rows[i, j - j' mod n] * ring[j']."""
     n = ring.shape[0]
     j = np.arange(n)[:, None]
     jp = np.arange(n)[None, :]

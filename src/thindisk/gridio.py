@@ -14,6 +14,8 @@ two back-to-back component blocks and no sentinel.
 """
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 
 from .grids import CartesianGrid, PolarGrid, build_cartesian_grid, build_polar_grid
@@ -153,22 +155,14 @@ def read_report(path):
 
 # --- kernel table cache ----------------------------------------------------
 
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 def save_kernel_tables(path, tables) -> None:
-    """Binary dump of a kernel-table set for reuse across runs."""
-    grid = tables.grid
-    payload = {
-        "version": np.array(_CACHE_VERSION),
-        "coords": np.array(grid.coords),
-        "n": np.array(grid.n),
-    }
-    if grid.coords == "cartesian":
-        payload["extent"] = np.array(grid.half_width)
-    else:
-        payload["extent"] = np.array(grid.outer_radius)
-        payload["beta0"] = np.array(grid.beta0)
+    """Binary dump of a kernel-table set for reuse across runs, keyed by the
+    grid line of the field files."""
+    payload = {"version": np.array(_CACHE_VERSION),
+               "grid": np.array(_grid_header(tables.grid))}
     for kind, arr in tables.tables.items():
         payload[f"table_{kind}"] = arr
     for kind, arr in getattr(tables, "hole_tables", {}).items():
@@ -177,37 +171,37 @@ def save_kernel_tables(path, tables) -> None:
 
 
 def load_kernel_tables(path, grid):
-    """Load a cache back; the stored grid signature must match ``grid``."""
+    """Load a cache back; its stored grid line must equal ``grid``'s."""
     from .kernels_cartesian import KINDS as CARTESIAN_KINDS, KernelTables
     from .kernels_polar import KINDS as POLAR_KINDS, PolarKernelTables
 
-    with np.load(path) as data:
-        if int(data["version"]) != _CACHE_VERSION:
-            raise FileFormatError(f"kernel cache version {int(data['version'])} unsupported")
-        coords = str(data["coords"])
-        extent = float(data["extent"])
-        n = int(data["n"])
-        if coords != grid.coords or n != grid.n:
-            raise FileFormatError("kernel cache was built for a different grid")
-        if coords == "cartesian" and extent != grid.half_width:
-            raise FileFormatError("kernel cache was built for a different domain size")
-        if coords == "polar" and (extent != grid.outer_radius
-                                  or float(data["beta0"]) != grid.beta0):
-            raise FileFormatError("kernel cache was built for a different domain")
-        tables = {k[6:]: data[k] for k in data.files if k.startswith("table_")}
-        holes = {k[5:]: data[k] for k in data.files if k.startswith("hole_")}
-    if coords == "cartesian":
-        _require_kinds(tables, "table", CARTESIAN_KINDS, (2 * n, 2 * n))
+    try:
+        with np.load(path) as data:    # an .npy file gives an array: TypeError
+            arrays = {k: data[k] for k in data.files}
+    except (ValueError, EOFError, TypeError, zipfile.BadZipFile):
+        raise FileFormatError(f"{path} is not a readable kernel cache (.npz archive)") from None
+    _require_kinds(arrays, "", ("version",), ())
+    if int(arrays["version"]) != _CACHE_VERSION:
+        raise FileFormatError(f"kernel cache version {int(arrays['version'])} unsupported; "
+                              "rebuild it with 'thindisk kernels'")
+    _require_kinds(arrays, "", ("grid",), ())
+    if str(arrays["grid"]) != _grid_header(grid):
+        raise FileFormatError(f"kernel cache was built for '{arrays['grid']}', "
+                              f"not '{_grid_header(grid)}'")
+    tables = {k[6:]: a for k, a in arrays.items() if k.startswith("table_")}
+    holes = {k[5:]: a for k, a in arrays.items() if k.startswith("hole_")}
+    if grid.coords == "cartesian":
+        _require_kinds(tables, "table_", CARTESIAN_KINDS, (2 * grid.n, 2 * grid.n))
         return KernelTables(grid=grid, tables=tables)
-    _require_kinds(tables, "table", POLAR_KINDS, (2 * n, n))
-    _require_kinds(holes, "hole", POLAR_KINDS, (n, n))
+    _require_kinds(tables, "table_", POLAR_KINDS, (2 * grid.n, grid.n))
+    _require_kinds(holes, "hole_", POLAR_KINDS, (grid.n, grid.n))
     return PolarKernelTables(grid=grid, tables=tables, hole_tables=holes)
 
 
 def _require_kinds(arrays, prefix, kinds, shape) -> None:
     for kind in kinds:
         if kind not in arrays:
-            raise FileFormatError(f"kernel cache lacks {prefix}_{kind}")
+            raise FileFormatError(f"kernel cache lacks {prefix}{kind}")
         if arrays[kind].shape != shape:
-            raise FileFormatError(f"kernel cache {prefix}_{kind} has shape "
+            raise FileFormatError(f"kernel cache {prefix}{kind} has shape "
                                   f"{arrays[kind].shape}, expected {shape}")

@@ -121,37 +121,26 @@ class D2PairDisk:
     kind = "d2_2"
     has_analytic_slopes = True
 
-    def _parts(self):
+    def _superpose(self, part, x, y):
+        """Sum of ``part(disk, x - dx0, y)`` over the two shifted disks.  It
+        starts from 0.0, so it reads +0.0 where both parts are -0.0."""
         d = D2Disk(self.alpha, self.sigma0)
-        return d, (self.offset, -self.offset)
+        total = 0.0
+        for dx0 in (self.offset, -self.offset):
+            total = total + np.asarray(part(d, _as_array(x) - dx0, y))
+        return total
 
     def density(self, x, y) -> np.ndarray:
-        d, offs = self._parts()
-        return sum(d.density(_as_array(x) - dx0, y) for dx0 in offs)
+        return self._superpose(D2Disk.density, x, y)
 
     def density_gradient(self, x, y):
-        d, offs = self._parts()
-        gx = 0.0
-        gy = 0.0
-        for dx0 in offs:
-            g = d.density_gradient(_as_array(x) - dx0, y)
-            gx = gx + g[0]
-            gy = gy + g[1]
-        return gx, gy
+        return tuple(self._superpose(D2Disk.density_gradient, x, y))
 
     def force_xy(self, x, y):
-        d, offs = self._parts()
-        fx = 0.0
-        fy = 0.0
-        for dx0 in offs:
-            f = d.force_xy(_as_array(x) - dx0, y)
-            fx = fx + f[0]
-            fy = fy + f[1]
-        return fx, fy
+        return tuple(self._superpose(D2Disk.force_xy, x, y))
 
     def potential_xy(self, x, y):
-        d, offs = self._parts()
-        return sum(d.potential(np.hypot(_as_array(x) - dx0, y)) for dx0 in offs)
+        return self._superpose(lambda d, x, y: d.potential(np.hypot(x, y)), x, y)
 
 
 @dataclass(frozen=True)

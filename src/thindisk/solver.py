@@ -48,8 +48,15 @@ class ForceField:
     def flipped(self) -> "ForceField":
         """Same field under the opposite sign convention (exact negation)."""
         other = "repulsive" if self.sign_convention == "attractive" else "attractive"
+        return self.as_convention(other)
+
+    def as_convention(self, sign_convention: str) -> "ForceField":
+        """This field, or its exact negation, under ``sign_convention``; an
+        unknown convention raises ValueError."""
+        if sign_convention == self.sign_convention:
+            return self
         return replace(self, comp_u=-self.comp_u, comp_v=-self.comp_v,
-                       sign_convention=other)
+                       sign_convention=sign_convention)
 
     def radial(self) -> np.ndarray:
         """Radial projection (x*Fx + y*Fy)/R on Cartesian grids; comp_u on polar."""
@@ -146,8 +153,8 @@ def _force(terms, field: DensityField, tables, backend: str,
     u, v = assemble(terms, field, tables, backend)
     if field.grid.coords == "polar":
         u = -u      # radial family orientation: its integrand is outward-positive
-    out = ForceField(field.grid, u, v, slope_source=field.slope_source)
-    return out if sign_convention == "attractive" else out.flipped()
+    return ForceField(field.grid, u, v, slope_source=field.slope_source).as_convention(
+        sign_convention)
 
 
 def solve_cartesian(field: DensityField, tables: KernelTables,

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from thindisk import (D2Disk, build_cartesian_grid, build_polar_grid,
                       error_norms, order_of_accuracy, restrict_fine_to_coarse,
                       run_convergence, singular_trapezoid_study)
-from thindisk.analysis import ConvergenceReport, array_norms, restrict_to
+from thindisk.analysis import ConvergenceReport, array_norms
 from thindisk.solver import ForceField
 
 
@@ -101,21 +101,11 @@ class TestRestriction:
         np.testing.assert_allclose(c.comp_u, Xc, atol=1e-14)
         np.testing.assert_allclose(c.comp_v, Yc, atol=1e-14)
 
-    def test_chained_restriction(self):
-        g = build_cartesian_grid(1.0, 32)
-        f = _field(g, np.ones((32, 32)), np.ones((32, 32)))
-        c = restrict_to(f, 8)
-        assert c.grid.n == 8
-
     def test_non_nested_rejected(self):
         g = build_cartesian_grid(1.0, 9)
         f = _field(g, np.ones((9, 9)), np.ones((9, 9)))
         with pytest.raises(ValueError):
             restrict_fine_to_coarse(f)
-        g = build_cartesian_grid(1.0, 24)
-        f = _field(g, np.ones((24, 24)), np.ones((24, 24)))
-        with pytest.raises(ValueError):
-            restrict_to(f, 8)   # 24/8 = 3 is not a power of two
 
     def test_closest4_reduces_to_children_mean_at_factor_two(self):
         from thindisk.analysis import restrict_closest4

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from thindisk.analysis import ConvergenceReport
-from thindisk.cli import main, run_bench
+from thindisk.cli import build_parser, main, run_bench
 from thindisk.gridio import read_force
 
 
@@ -77,6 +77,28 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "table_xy" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "f.txt").exists()
+
+    @pytest.mark.parametrize("damage", ["no-version", "no-grid", "version-1", "text"])
+    def test_bad_kernel_cache_exits_2(self, tmp_path, capsys, damage):
+        cache = tmp_path / "k.npz"
+        assert main(["kernels", "--N", "12", "--out", str(cache)]) == 0
+        if damage == "text":
+            cache.write_text("not a cache\n")
+        else:
+            drop = "version" if damage == "no-version" else "grid"
+            with np.load(cache) as data:
+                kept = {k: data[k] for k in data.files if k != drop}
+            if damage == "version-1":
+                kept.update(version=np.array(1), coords=np.array("cartesian"),
+                            n=np.array(12), extent=np.array(1.0))
+            np.savez_compressed(cache, **kept)
+        capsys.readouterr()
+        code = main(["solve", "--N", "12", "--kernel-cache", str(cache),
+                     "--out", str(tmp_path / "f.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "f.txt").exists()
 
     def test_non_finite_density_file_exits_2(self, tmp_path, capsys):
@@ -158,8 +180,6 @@ class TestConfigFile:
         monkeypatch.setenv("THINDISK_THREADS", "2")
         code = main(["solve", "--N", "8", "--out", str(tmp_path / "f.txt")])
         assert code == 0
-        monkeypatch.setenv("THINDISK_THREADS", "zebra")
-        assert main(["solve", "--N", "8", "--out", str(tmp_path / "f.txt")]) == 1
 
 
 class TestOtherCommands:
@@ -202,7 +222,7 @@ class TestOtherCommands:
 
 class TestBenchHarness:
     def test_records_structure(self):
-        recs = run_bench([8], repeats=3, direct_n=[8], threads=1)
+        recs = run_bench([8], repeats=3, direct_n=[8])
         phases = {(r.method, r.phase) for r in recs}
         assert ("proposed", "kernel") in phases
         assert ("proposed", "force") in phases
@@ -210,3 +230,27 @@ class TestBenchHarness:
         assert ("softening", "whole") in phases
         assert ("direct", "whole") in phases
         assert all(r.mean_seconds > 0 and r.repeats == 3 for r in recs)
+
+
+class TestContract:
+    def test_public_names_resolve(self):
+        import thindisk
+        missing = [name for name in thindisk.__all__ if not hasattr(thindisk, name)]
+        assert missing == []
+
+    @pytest.mark.parametrize("argv", [["solve"], ["converge"], ["bench"],
+                                      ["kernels", "--out", "k.npz"], ["kalnajs"]])
+    def test_threads_flag_accepted(self, argv):
+        assert build_parser().parse_args(argv + ["--threads", "4"]).threads == 4
+
+    def test_threads_change_no_output(self, tmp_path, capsys, monkeypatch):
+        runs = {"1": ["--threads", "1"], "3": ["--threads", "3"], "env": []}
+        outputs = {}
+        for label, extra in runs.items():
+            if label == "env":
+                monkeypatch.setenv("THINDISK_THREADS", "zebra")
+            out = tmp_path / f"f{label}.txt"
+            assert main(["solve", "--N", "16", "--out", str(out)] + extra) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs[label] = (out.read_bytes(), stdout)
+        assert outputs["1"] == outputs["3"] == outputs["env"]

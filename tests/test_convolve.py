@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import fft_convolve_complex
-from thindisk.convolve import (direct_convolve, fft_convolve, ring_convolve,
-                               ring_convolve_direct)
+from thindisk.convolve import direct_convolve, fft_convolve, ring_convolve_direct
 
 
 def _rng(seed=0):
@@ -56,13 +55,6 @@ class TestFFTConvolve:
         with pytest.raises(ValueError):
             fft_convolve(np.zeros((8, 8)), np.zeros((8, 8)), pad_axes=(0, 1))
 
-    def test_spectrum_shortcut(self):
-        kernel, field = _random_setup(8, (0, 1), seed=5)
-        spec = np.fft.rfft2(kernel)
-        a = fft_convolve(kernel, field)
-        b = fft_convolve(kernel, field, kernel_spectrum=spec)
-        np.testing.assert_array_equal(a, b)
-
 
 class TestDirectConvolve:
     def test_point_mass_reproduces_kernel_slice(self):
@@ -107,15 +99,9 @@ class TestRingConvolve:
         rng = _rng(11)
         rows = rng.standard_normal((10, 16))
         ring = rng.standard_normal(16)
-        a = ring_convolve(rows, ring)
-        b = ring_convolve_direct(rows, ring)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_zero_ring(self):
-        rows = _rng(12).standard_normal((4, 8))
-        out = ring_convolve(rows, np.zeros(8))
-        assert np.abs(out).max() < 1e-15
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ring_convolve(np.zeros((4, 8)), np.zeros(9))
+        want = np.zeros((10, 16))
+        for i in range(10):
+            for j in range(16):
+                for jp in range(16):
+                    want[i, j] += rows[i, (j - jp) % 16] * ring[jp]
+        np.testing.assert_allclose(ring_convolve_direct(rows, ring), want, atol=1e-12)

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,33 @@ def _drop_from_cache(path, key, replace=None):
     np.savez_compressed(path, **payload)
 
 
+def _write_version_one_cache(path, tables):
+    """A cache in the version-1 layout: the grid as coords/n/extent keys."""
+    payload = {"version": np.array(1), "coords": np.array(tables.grid.coords),
+               "n": np.array(tables.grid.n), "extent": np.array(tables.grid.half_width)}
+    payload.update({f"table_{k}": arr for k, arr in tables.tables.items()})
+    np.savez_compressed(path, **payload)
+
+
+def _write_unreadable_cache(path, content, tables):
+    """A file at ``path`` that np.load cannot read as an .npz archive of
+    plain arrays."""
+    if content == "text":
+        path.write_text("thindisk v1\ncart 8 1\n")
+    elif content == "empty":
+        path.write_bytes(b"")
+    elif content == "npy":
+        buf = io.BytesIO()
+        np.save(buf, tables.tables["x0"])
+        path.write_bytes(buf.getvalue())
+    elif content == "truncated":
+        save_kernel_tables(path, tables)
+        path.write_bytes(path.read_bytes()[:1000])
+    else:
+        save_kernel_tables(path, tables)
+        _drop_from_cache(path, "grid", replace=np.array(["cart 8 1"], dtype=object))
+
+
 class TestKernelCache:
     def test_cartesian_round_trip(self, tmp_path):
         grid = build_cartesian_grid(1.0, 8)
@@ -164,7 +193,38 @@ class TestKernelCache:
             load_kernel_tables(p, build_cartesian_grid(1.0, 16))
         with pytest.raises(FileFormatError):
             load_kernel_tables(p, build_cartesian_grid(2.0, 8))
+        polar = build_polar_grid(1.0, 8, 0.9)
+        with pytest.raises(FileFormatError, match="cart 8 1"):
+            load_kernel_tables(p, polar)
+        q = tmp_path / "kp.npz"
+        save_kernel_tables(q, tabulate_polar_kernels(polar))
+        for other in (build_polar_grid(2.0, 8, 0.9), build_polar_grid(1.0, 8, 0.95)):
+            with pytest.raises(FileFormatError, match="polar 8"):
+                load_kernel_tables(q, other)
 
+    @pytest.mark.parametrize("key", ["version", "grid"])
+    def test_missing_signature_key_rejected(self, tmp_path, key):
+        grid = build_cartesian_grid(1.0, 8)
+        p = tmp_path / "k.npz"
+        save_kernel_tables(p, tabulate_cartesian_kernels(grid))
+        _drop_from_cache(p, key)
+        with pytest.raises(FileFormatError, match=f"lacks {key}"):
+            load_kernel_tables(p, grid)
+
+    def test_version_one_cache_rejected(self, tmp_path):
+        grid = build_cartesian_grid(1.0, 8)
+        p = tmp_path / "k.npz"
+        _write_version_one_cache(p, tabulate_cartesian_kernels(grid))
+        with pytest.raises(FileFormatError, match="version 1 unsupported"):
+            load_kernel_tables(p, grid)
+
+    @pytest.mark.parametrize("content", ["text", "empty", "npy", "truncated", "object"])
+    def test_unreadable_cache_rejected(self, tmp_path, content):
+        grid = build_cartesian_grid(1.0, 8)
+        p = tmp_path / "k.npz"
+        _write_unreadable_cache(p, content, tabulate_cartesian_kernels(grid))
+        with pytest.raises(FileFormatError, match="not a readable kernel cache"):
+            load_kernel_tables(p, grid)
 
     @pytest.mark.parametrize("key", ["table_xy", "table_y0"])
     def test_cartesian_missing_kind_rejected(self, tmp_path, key):

@@ -148,6 +148,14 @@ class TestSampling:
         X, Y = grid.center_mesh()
         np.testing.assert_array_equal(
             pair.values, single.density(X - 0.25, Y) + single.density(X + 0.25, Y))
+        # a running sum from 0.0: +0.0 wherever both parts are -0.0
+        for method in ("density_gradient", "force_xy"):
+            right = getattr(single, method)(X - 0.25, Y)
+            left = getattr(single, method)(X + 0.25, Y)
+            for got, a, b in zip(getattr(D2PairDisk(), method)(X, Y), right, left):
+                want = 0.0 + a + b
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_polar_sampling_carries_hole_ring(self):
         grid = build_polar_grid(1.0, 16, 0.9)

@@ -4,7 +4,8 @@ import pytest
 from thindisk import (CallableModel, D2Disk, D2PairDisk, build_cartesian_grid,
                       build_polar_grid, sample_density, solve_cartesian,
                       solve_cartesian_direct, solve_polar, solve_polar_direct,
-                      tabulate_cartesian_kernels, tabulate_polar_kernels)
+                      solve_softened_cartesian, tabulate_cartesian_kernels,
+                      tabulate_polar_kernels)
 from thindisk.analysis import array_norms
 from thindisk.models import DensityField
 from thindisk.kernels_polar import KINDS as POLAR_KINDS, POTENTIAL_KINDS
@@ -319,6 +320,19 @@ class TestTransformCounts:
         fft_calls.clear()
         solve_polar(field, tables)
         assert len(fft_calls) <= 14
+
+
+@pytest.mark.parametrize("solve", [solve_cartesian, solve_polar, solve_softened_cartesian],
+                         ids=lambda f: f.__name__)
+def test_unknown_sign_convention_rejected(solve):
+    if solve is solve_polar:
+        grid = build_polar_grid(1.0, 8, 0.9)
+        args = (tabulate_polar_kernels(grid),)
+    else:
+        grid = build_cartesian_grid(1.0, 4)
+        args = (tabulate_cartesian_kernels(grid),) if solve is solve_cartesian else ()
+    with pytest.raises(ValueError, match="'atractive'"):
+        solve(sample_density(D2Disk(), grid), *args, sign_convention="atractive")
 
 
 class TestForceField:
