@@ -146,8 +146,7 @@ def softened_potential(field: DensityField, cfg: SofteningConfig | None = None,
     eps = cfg.epsilon if cfg is not None else grid.dx
     n = grid.n
     offs = wrap_offsets(n) * grid.dx
-    dxo, dyo = np.meshgrid(offs, offs, indexing="ij")
-    kernel = -G / np.sqrt(eps * eps + dxo * dxo + dyo * dyo)
+    kernel = -G / np.sqrt(eps * eps + offs[:, None] ** 2 + offs[None, :] ** 2)
     mass = field.values * grid.cell_area
     if method == "fft":
         return fft_convolve(kernel, mass)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Commands: solve, converge, bench, kernels, singular-study.  Flags override
-an optional key=value config file, which overrides defaults.  Exit codes:
-0 success, 1 usage error, 2 I/O error, 3 numerical failure.
+Commands: solve, converge, bench, kernels, singular-study, kalnajs.  Flags
+override an optional key=value config file, which overrides defaults.  Exit
+codes: 0 success, 1 usage error, 2 I/O error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -18,8 +18,9 @@ from . import analysis, gridio
 from .baselines import KalnajsConfig, SofteningConfig, kalnajs_potential_axisym, \
     solve_softened_cartesian
 from .grids import build_cartesian_grid, build_polar_grid
-from .kernels_cartesian import tabulate_cartesian_kernels
-from .kernels_polar import SingularEvaluationError, tabulate_polar_kernels
+from .kernels_cartesian import KINDS as CARTESIAN_KINDS, tabulate_cartesian_kernels
+from .kernels_polar import KINDS as POLAR_KINDS, SingularEvaluationError, \
+    tabulate_polar_kernels
 from .models import D2Disk, D2PairDisk, LogSpiralDisk, sample_density
 from .solver import solve_cartesian, solve_cartesian_direct, solve_polar
 
@@ -196,7 +197,7 @@ def run_bench(n_values, repeats=3, direct_n=(), half_width=1.0):
         solve_cartesian(field, tabulate_cartesian_kernels(grid))
         t_kernel = _timeit(lambda: tabulate_cartesian_kernels(grid), repeats)
         tables = tabulate_cartesian_kernels(grid)
-        for kind in tables.tables:
+        for kind in CARTESIAN_KINDS:
             tables.spectrum(kind)
 
         t_force = _timeit(lambda: solve_cartesian(field, tables), repeats)
@@ -248,7 +249,8 @@ def cmd_kernels(args) -> int:
     for kind, arr in tables.tables.items():
         if not np.array_equal(reloaded.tables[kind], arr):
             raise RuntimeError(f"kernel cache round trip failed for kind {kind}")
-    print(f"wrote {args.out} ({len(tables.tables)} kernel kinds, n={grid.n})")
+    kinds = CARTESIAN_KINDS if grid.coords == "cartesian" else POLAR_KINDS
+    print(f"wrote {args.out} ({len(kinds)} kernel kinds, n={grid.n})")
     return 0
 
 

@@ -23,11 +23,11 @@ def fft_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> np.n
     shape = (2 * n0 if 0 in pad_axes else n0, 2 * n1 if 1 in pad_axes else n1)
     if kernel.shape != shape:
         raise ValueError(f"kernel shape {kernel.shape} does not match padded shape {shape}")
-    padded = np.zeros(shape)
-    padded[:n0, :n1] = field
-    kernel_spectrum = np.fft.rfft2(kernel)  # named: a product of temporaries rounds differently
-    out = np.fft.irfft2(kernel_spectrum * np.fft.rfft2(padded), s=shape)
-    return out[:n0, :n1]
+    spec = np.fft.rfft2(field, s=shape)     # zero-padded to the kernel's shape
+    spec *= np.fft.rfft2(kernel)
+    # the inverse writes over the spent product: one transform-sized array, not two
+    out = np.fft.irfftn(spec, s=shape, axes=(0, 1), out=spec.view(float)[:, :shape[1]])
+    return out[:n0, :n1].copy()
 
 
 def direct_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> np.ndarray:
@@ -47,9 +47,9 @@ def direct_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> n
     col = (j - jp) % shape[1]
     out = np.empty((n0, n1))
     for i in range(n0):
-        rows = (i - i1) % shape[0]
-        # K[i - i', j - j'] as an (i', j, j') tensor for this output row
-        slab = kernel[rows[:, None, None], col[None, :, :]]
+        # K[i - i', j - j'] as an (i', j, j') tensor for this output row:
+        # whole kernel rows first, then the columns of each
+        slab = kernel[(i - i1) % shape[0]][:, col]
         out[i] = np.einsum("ajb,ab->j", slab, field)
     return out
 

@@ -39,10 +39,10 @@ def _grid_header(grid) -> str:
     return f"polar {grid.n} {_fmt(grid.outer_radius)} {_fmt(grid.beta0)}"
 
 
-def _block_lines(a: np.ndarray):
+def _block_lines(a: np.ndarray) -> list:
     # rows iterate axis 1 (y/theta), values within a row iterate axis 0
-    for j in range(a.shape[1]):
-        yield ",".join(_fmt(v) for v in a[:, j])
+    fmt = "{:.17g}".format
+    return [",".join(map(fmt, row)) for row in a.T.tolist()]
 
 
 def _parse_header(lines) -> tuple:
@@ -155,24 +155,25 @@ def read_report(path):
 
 # --- kernel table cache ----------------------------------------------------
 
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 def save_kernel_tables(path, tables) -> None:
-    """Binary dump of a kernel-table set for reuse across runs, keyed by the
-    grid line of the field files."""
+    """Uncompressed binary dump of a kernel-table set for reuse across runs,
+    keyed by the grid line of the field files: the Cartesian x-family
+    quadrants, or the polar ring and hole tables."""
     payload = {"version": np.array(_CACHE_VERSION),
                "grid": np.array(_grid_header(tables.grid))}
     for kind, arr in tables.tables.items():
         payload[f"table_{kind}"] = arr
     for kind, arr in getattr(tables, "hole_tables", {}).items():
         payload[f"hole_{kind}"] = arr
-    np.savez_compressed(path, **payload)
+    np.savez(path, **payload)
 
 
 def load_kernel_tables(path, grid):
     """Load a cache back; its stored grid line must equal ``grid``'s."""
-    from .kernels_cartesian import KINDS as CARTESIAN_KINDS, KernelTables
+    from .kernels_cartesian import X_KINDS, KernelTables
     from .kernels_polar import KINDS as POLAR_KINDS, PolarKernelTables
 
     try:
@@ -191,7 +192,7 @@ def load_kernel_tables(path, grid):
     tables = {k[6:]: a for k, a in arrays.items() if k.startswith("table_")}
     holes = {k[5:]: a for k, a in arrays.items() if k.startswith("hole_")}
     if grid.coords == "cartesian":
-        _require_kinds(tables, "table_", CARTESIAN_KINDS, (2 * grid.n, 2 * grid.n))
+        _require_kinds(tables, "table_", X_KINDS, (grid.n + 1, grid.n + 1))
         return KernelTables(grid=grid, tables=tables)
     _require_kinds(tables, "table_", POLAR_KINDS, (2 * grid.n, grid.n))
     _require_kinds(holes, "hole_", POLAR_KINDS, (grid.n, grid.n))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import PolarGrid
-from .kernels_cartesian import _lattice_corners, _lazy_spectrum, _log_plus_hypot, wrap_offsets
+from .kernels_cartesian import _lattice_corners, _log_plus_hypot, wrap_offsets
 
 KINDS = ("r0", "rr", "rt", "t0", "tr", "tt")
 POTENTIAL_KINDS = ("p0", "pr", "pt")
@@ -198,6 +198,15 @@ def eval_hole_kernel(kind: str, i, dj, grid: PolarGrid) -> np.ndarray:
     return _assemble(kind, corners, _hole_correction(i, grid), grid.dtheta)
 
 
+def _lazy_spectrum(attr: str, transform):
+    """Method caching transform(self.<attr>[kind]) per kind in self._spectra."""
+    def spectrum(self, kind: str) -> np.ndarray:
+        if (attr, kind) not in self._spectra:
+            self._spectra[attr, kind] = transform(getattr(self, attr)[kind])
+        return self._spectra[attr, kind]
+    return spectrum
+
+
 @dataclass
 class PolarKernelTables:
     """Ring tables in wrap layout (2n, n) plus hole tables (n, n).
@@ -218,6 +227,7 @@ class PolarKernelTables:
     def hole_table(self, kind: str) -> np.ndarray:
         return self.hole_tables[kind]
 
+    # numpy.fft is looked up per call, so code that wraps its functions sees these
     spectrum = _lazy_spectrum("tables", lambda a: np.fft.rfft2(a))
     hole_spectrum = _lazy_spectrum("hole_tables", lambda a: np.fft.rfft(a, axis=1))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .convolve import direct_convolve, ring_convolve_direct
 from .grids import CartesianGrid, PolarGrid
-from .kernels_cartesian import KernelTables
+from .kernels_cartesian import PARITY, KernelTables
 from .kernels_polar import POTENTIAL_KINDS, PolarKernelTables, tabulate_polar_kernels
 from .models import DensityField
 
@@ -95,38 +95,81 @@ def _direct_sums(terms, field: DensityField, tables) -> dict:
     return outs
 
 
-def _accumulate(accs: dict, key, a: np.ndarray, b: np.ndarray) -> None:
-    """accs[key] += a * b, 64 columns at a time: no spectrum-sized temporary."""
-    if key not in accs:
-        accs[key] = a * b
-        return
-    for j in range(0, a.shape[-1], 64):
-        accs[key][..., j:j + 64] += a[..., j:j + 64] * b[..., j:j + 64]
+def _accumulate(accs: dict, products, spec: np.ndarray, imaginary: bool) -> None:
+    """accs[key] += kernel * spec for each (key, kernel, row_sign) of
+    products (one per key), spec first multiplied by 1j if imaginary; a new
+    accumulator starts at its product.  spec is swept once, in blocks of at
+    least 64 rows and 2**15 entries that serve every product while in cache:
+    no spectrum-sized temporary.  A kernel of m < len(spec) rows is a
+    quadrant: row i >= m of the spectrum it stands for is its row
+    len(spec) - i times row_sign."""
+    rows = len(spec)
+    fresh = [key for key, _, _ in products if key not in accs]
+    for key in fresh:
+        accs[key] = np.empty(spec.shape, complex)
+    step = max(64, 2**15 // spec.shape[1])
+    m = min(len(kernel) for _, kernel, _ in products)
+    bounds = [*range(0, m, step), *range(m, rows, step), rows]
+    for start, stop in zip(bounds, bounds[1:]):
+        block = spec[start:stop]
+        if imaginary:
+            block *= 1j
+        for key, kernel, row_sign in products:
+            if start < len(kernel):
+                term, sign = kernel[start:stop] * block, 1
+            else:
+                term, sign = kernel[rows - start:rows - stop:-1] * block, row_sign
+            acc = accs[key][start:stop]
+            if key in fresh:
+                np.multiply(term, sign, out=acc)
+            elif sign > 0:
+                acc += term
+            else:
+                acc -= term
 
 
 def _fft_sums(terms, field: DensityField, tables) -> dict:
     grid, n = field.grid, field.grid.n
     shape = (2 * n, n if grid.coords == "polar" else 2 * n)
+    # Cartesian kernel spectra are stored as real quadrants; those of x0 and
+    # y0 carry a factor 1j, which goes once onto the one plane they (and no
+    # other kind) read
+    parity = PARITY if grid.coords == "cartesian" else {}
+    imaginary = {kind for kind, (r, c) in parity.items() if r * c < 0}
     order = sorted(dict.fromkeys(p for _, _, p, _ in terms),
                    key=lambda p: not any(r for _, _, q, r in terms if q == p))
     # the plane after which each (output, r_i factor) accumulator is complete
     last = {(o, r): p for p in order for o, _, q, r in terms if q == p}
-    # the inverse writes over the spent accumulator: one temporary, not two
-    passes = [(tables.spectrum, "", lambda a: np.fft.rfft2(a, s=shape),
-               lambda a: np.fft.irfftn(a, s=shape, axes=(0, 1),
-                                       out=a.view(float)[:, :shape[1]])[:n, :n].copy())]
+
+    def plane_forward(a):
+        # rows n.. of the padded input are zero: transform the n rows along
+        # axis 1 into a zeroed spectrum, then axis 0 in place
+        spec = np.zeros((shape[0], shape[1] // 2 + 1), complex)
+        np.fft.rfft(a, n=shape[1], axis=1, out=spec[:n])
+        return np.fft.fft(spec, axis=0, out=spec)
+
+    def plane_inverse(a):
+        # axis 0 is inverted in place over the spent accumulator; only output
+        # rows :n are kept, so axis 1 is inverted for those rows alone
+        np.fft.ifft(a, axis=0, out=a)
+        return np.fft.irfft(a[:n], n=shape[1], axis=1)[:, :n].copy()
+
+    passes = [(tables.spectrum, "", plane_forward, plane_inverse)]
     if grid.coords == "polar":
-        passes.append((tables.hole_spectrum, "hole_", np.fft.rfft,
+        # one ring spectrum for all the hole table's target rings
+        passes.append((tables.hole_spectrum, "hole_",
+                       lambda a: np.broadcast_to(np.fft.rfft(a), (n, n // 2 + 1)),
                        lambda a: np.fft.irfft(a, n=n, axis=1)))
     outs = {}
     for spectrum, prefix, forward, inverse in passes:
         kernels = {kind: spectrum(kind) for _, kind, _, _ in terms}
         accs = {}
         for plane in order:
-            spec = forward(getattr(field, prefix + plane))
-            for out, kind, _, radial in (t for t in terms if t[2] == plane):
-                _accumulate(accs, (out, radial), kernels[kind], spec)
-            del spec
+            rows = [(out, kind, radial) for out, kind, q, radial in terms if q == plane]
+            products = [((out, radial), kernels[kind], parity.get(kind, (1, 1))[0])
+                        for out, kind, radial in rows]
+            _accumulate(accs, products, forward(getattr(field, prefix + plane)),
+                        any(kind in imaginary for _, kind, _ in rows))
             for out, radial in [k for k, p in last.items() if p == plane]:
                 term = inverse(accs.pop((out, radial)))
                 term = grid.r_centers[:, None] * term if radial else term

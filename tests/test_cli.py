@@ -79,7 +79,7 @@ class TestSolve:
         assert "Traceback" not in err
         assert not (tmp_path / "f.txt").exists()
 
-    @pytest.mark.parametrize("damage", ["no-version", "no-grid", "version-1", "text"])
+    @pytest.mark.parametrize("damage", ["no-version", "no-grid", "version-1", "version-2", "text"])
     def test_bad_kernel_cache_exits_2(self, tmp_path, capsys, damage):
         cache = tmp_path / "k.npz"
         assert main(["kernels", "--N", "12", "--out", str(cache)]) == 0
@@ -92,6 +92,8 @@ class TestSolve:
             if damage == "version-1":
                 kept.update(version=np.array(1), coords=np.array("cartesian"),
                             n=np.array(12), extent=np.array(1.0))
+            if damage == "version-2":
+                kept.update(version=np.array(2), grid=np.array("cart 12 1"))
             np.savez_compressed(cache, **kept)
         capsys.readouterr()
         code = main(["solve", "--N", "12", "--kernel-cache", str(cache),

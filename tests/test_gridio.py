@@ -1,4 +1,5 @@
 import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from thindisk import (D2Disk, build_cartesian_grid, build_polar_grid,
 from thindisk.gridio import (FileFormatError, load_kernel_tables, read_density,
                              read_force, read_report, save_kernel_tables,
                              write_density, write_force, write_report)
+from thindisk.kernels_cartesian import KINDS
+from thindisk.models import DensityField
 from thindisk.solver import ForceField
 
 
@@ -118,6 +121,31 @@ class TestForceFiles:
         np.testing.assert_array_equal(back.comp_v, force.comp_v)
 
 
+    def test_writers_match_the_per_value_formatter(self, tmp_path):
+        # field files are a byte contract: the row writer must print exactly
+        # what formatting each value on its own with .17g prints
+        special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.5e-310, 1e300, -1e300,
+                   3.0, -7.0, 2.0 ** 53, 1e16, 0.1, -1.0 / 3.0, 123456789.0, -2.5e-5, 1.0]
+        grid = build_cartesian_grid(1.0, 4)
+        blocks = [np.reshape(special, (4, 4)), np.reshape(special[::-1], (4, 4)),
+                  np.reshape(special, (4, 4)).T.copy()]
+
+        def per_value(a):
+            return "".join(",".join(f"{v:.17g}" for v in a[:, j]) + "\n"
+                           for j in range(a.shape[1]))
+
+        head = "thindisk v1\ncart 4 1\n"
+        write_force(tmp_path / "f.txt", ForceField(grid, blocks[0], blocks[1]))
+        assert (tmp_path / "f.txt").read_bytes() == \
+            (head + per_value(blocks[0]) + per_value(blocks[1])).encode()
+        write_density(tmp_path / "d.txt", DensityField(grid, *blocks))
+        assert (tmp_path / "d.txt").read_bytes() == (head + per_value(blocks[0]) + "slopes\n"
+                                                     + per_value(blocks[1])
+                                                     + per_value(blocks[2])).encode()
+        back = read_density(tmp_path / "d.txt")
+        for got, a in zip((back.values, back.slope_u, back.slope_v), blocks):
+            assert np.array_equal(np.signbit(got), np.signbit(a)) and np.array_equal(got, a)
+
     def test_non_finite_component_rejected(self, tmp_path):
         grid = build_cartesian_grid(1.0, 4)
         comp_v = np.ones((4, 4))
@@ -218,6 +246,26 @@ class TestKernelCache:
         with pytest.raises(FileFormatError, match="version 1 unsupported"):
             load_kernel_tables(p, grid)
 
+    def test_version_two_cache_rejected(self, tmp_path):
+        # version 2 held all six Cartesian kinds as full wrap-layout tables
+        grid = build_cartesian_grid(1.0, 8)
+        tables = tabulate_cartesian_kernels(grid)
+        p = tmp_path / "k.npz"
+        np.savez_compressed(p, version=np.array(2), grid=np.array("cart 8 1"),
+                            **{f"table_{k}": tables.table(k) for k in KINDS})
+        with pytest.raises(FileFormatError, match="version 2 unsupported; rebuild it"):
+            load_kernel_tables(p, grid)
+
+    def test_cache_holds_uncompressed_quadrants(self, tmp_path):
+        grid = build_cartesian_grid(1.0, 8)
+        p = tmp_path / "k.npz"
+        save_kernel_tables(p, tabulate_cartesian_kernels(grid))
+        with zipfile.ZipFile(p) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(p) as data:
+            assert sorted(data.files) == ["grid", "table_x0", "table_xx", "table_xy", "version"]
+            assert data["table_x0"].shape == (9, 9)
+
     @pytest.mark.parametrize("content", ["text", "empty", "npy", "truncated", "object"])
     def test_unreadable_cache_rejected(self, tmp_path, content):
         grid = build_cartesian_grid(1.0, 8)
@@ -226,7 +274,7 @@ class TestKernelCache:
         with pytest.raises(FileFormatError, match="not a readable kernel cache"):
             load_kernel_tables(p, grid)
 
-    @pytest.mark.parametrize("key", ["table_xy", "table_y0"])
+    @pytest.mark.parametrize("key", ["table_xy", "table_x0"])
     def test_cartesian_missing_kind_rejected(self, tmp_path, key):
         grid = build_cartesian_grid(1.0, 8)
         p = tmp_path / "k.npz"

@@ -1,8 +1,14 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from thindisk import build_cartesian_grid, eval_cartesian_kernel, tabulate_cartesian_kernels
-from thindisk.kernels_cartesian import KINDS, wrap_offsets
+from thindisk import (D2PairDisk, build_cartesian_grid, eval_cartesian_kernel, sample_density,
+                      solve_cartesian, tabulate_cartesian_kernels)
+from thindisk import kernels_cartesian
+from thindisk.kernels_cartesian import KINDS, PARITY, wrap_offsets
 
 from oracles import quad_cartesian_kernel
 
@@ -103,6 +109,66 @@ class TestTables:
             want = eval_cartesian_kernel(kind, offs[:, None], offs[None, :], grid)
             np.testing.assert_array_equal(t.table(kind), want)
 
+    @pytest.mark.parametrize("n", [16, 33, 64, 128, 256, 512])
+    def test_negative_offsets_are_exact_parity_images(self, n):
+        grid = build_cartesian_grid(1.0, n)
+        t = tabulate_cartesian_kernels(grid)
+        offs = wrap_offsets(n)
+        neg = np.flatnonzero(offs < 0)
+        for kind in KINDS:
+            full, (pr, pc) = t.table(kind), PARITY[kind]
+            assert np.array_equal(full[neg], pr * full[-offs[neg]])
+            assert np.array_equal(full[:, neg], pc * full[:, -offs[neg]])
+        d = np.arange(1, n)
+        for kind in KINDS:
+            pr, pc = PARITY[kind]
+            at = eval_cartesian_kernel(kind, d[:, None], d[None, :], grid)
+            assert np.array_equal(eval_cartesian_kernel(kind, -d[:, None], d[None, :], grid), pr * at)
+            assert np.array_equal(eval_cartesian_kernel(kind, d[:, None], -d[None, :], grid), pc * at)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_extreme_offsets_at_least_as_close_to_quadrature(self, n):
+        # the tables evaluate each kernel at non-positive offsets and mirror it;
+        # at the far rows and columns, of either sign, they are no further from
+        # the quadrature oracle than the corner formula at the literal offsets
+        grid = build_cartesian_grid(1.0, n)
+        t = tabulate_cartesian_kernels(grid)
+        far, dx = n - 1, grid.dx
+
+        def literal(kind, di, dj):
+            if kind.startswith("y"):
+                return literal(kernels_cartesian._Y_FROM_X[kind], dj, di)
+            corners = kernels_cartesian._point_corners(
+                (0.5 - di) * dx, (-0.5 - di) * dx, (0.5 - dj) * dx, (-0.5 - dj) * dx)
+            return float(kernels_cartesian._assemble(kind, corners, di, dj, dx))
+
+        edge = (-far, -2, 0, 2, far)
+        offsets = sorted({(s * far, d) for s in (-1, 1) for d in edge}
+                         | {(d, s * far) for s in (-1, 1) for d in edge})
+        for kind in KINDS:
+            want = np.array([quad_cartesian_kernel(kind, a, b, grid) for a, b in offsets])
+            got = np.array([t.table(kind)[a % (2 * n), b % (2 * n)] for a, b in offsets])
+            direct = np.array([literal(kind, a, b) for a, b in offsets])
+            assert np.abs(got - want).max() <= np.abs(direct - want).max(), kind
+
+    @pytest.mark.parametrize("n", [16, 33])
+    def test_spectrum_is_real_quadrant_of_table_spectrum(self, n):
+        grid = build_cartesian_grid(1.0, n)
+        t = tabulate_cartesian_kernels(grid)
+        for kind in KINDS:
+            (pr, pc), full = PARITY[kind], t.table(kind).copy()
+            # offset n of an odd axis is outside the aperiodic sum; zero makes it odd
+            if pr < 0:
+                full[n] = 0.0
+            if pc < 0:
+                full[:, n] = 0.0
+            want = np.fft.rfft2(full)
+            quadrant = t.spectrum(kind) * (1j if pr * pc < 0 else 1.0)
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(want[:n + 1], quadrant, rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(want[n + 1:], pr * quadrant[n - 1:0:-1],
+                                       rtol=0, atol=1e-13 * scale)
+
     def test_antisymmetry_cancellation(self):
         # paired +-di rows cancel; only the unpaired +n wrap row survives
         grid = build_cartesian_grid(1.0, 32)
@@ -123,3 +189,29 @@ class TestTables:
         t = tabulate_cartesian_kernels(grid)
         s1 = t.spectrum("x0")
         assert t.spectrum("x0") is s1
+
+    def test_shared_tables_across_threads(self):
+        # spectra are filled lazily; threads sharing one fresh KernelTables
+        # must still solve exactly as a lone thread does
+        grid = build_cartesian_grid(1.0, 64)
+        field = sample_density(D2PairDisk(), grid)
+        want = solve_cartesian(field, tabulate_cartesian_kernels(grid))
+        for _ in range(3):
+            shared = tabulate_cartesian_kernels(grid)
+            start = threading.Barrier(4)
+
+            def solve(_):
+                start.wait(timeout=30)
+                return solve_cartesian(field, shared)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    futures = [pool.submit(solve, i) for i in range(4)]
+                    results = [f.result(timeout=60) for f in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            for got in results:
+                np.testing.assert_array_equal(got.comp_u, want.comp_u)
+                np.testing.assert_array_equal(got.comp_v, want.comp_v)

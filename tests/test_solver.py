@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from thindisk import (CallableModel, D2Disk, D2PairDisk, build_cartesian_grid,
                       build_polar_grid, sample_density, solve_cartesian,
@@ -288,29 +291,34 @@ def test_mirrored_density_gives_mirrored_force(solve):
 
 class TestTransformCounts:
     """Each input plane is transformed once and each accumulator inverted
-    once; a per-term transform path would raise these counts."""
+    once, by one numpy.fft call per axis (rfft then fft forward, ifft then
+    irfft inverse); a per-term transform path would raise these counts."""
 
     @pytest.fixture
     def fft_calls(self, monkeypatch):
         calls = []
-        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
-                     "fftn", "ifftn", "rfftn", "irfftn"):
-            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+        for module, names in ((np.fft, ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2",
+                                        "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")),
+                              (scipy.fft, ("dct", "dst", "dctn", "dstn"))):
+            for name in names:
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_cartesian_warm_and_cold(self, fft_calls):
         grid = build_cartesian_grid(1.0, 16)
         tables = tabulate_cartesian_kernels(grid)
         field = _random_field(grid, 1)
-        solve_cartesian(field, tables)              # cold: six kernel spectra too
-        assert len(fft_calls) == 11
+        # cold: three kernel quadrants; xx is one dctn, xy one dstn and x0
+        # a dstn along rows then a dctn along columns
+        solve_cartesian(field, tables)
+        assert Counter(fft_calls) == {"rfft": 3, "fft": 3, "ifft": 2, "irfft": 2,
+                                      "dctn": 2, "dstn": 2}
         fft_calls.clear()
         solve_cartesian(field, tables)
-        assert len(fft_calls) == 5
-        assert sum(name.startswith("i") for name in fft_calls) == 2
+        assert Counter(fft_calls) == {"rfft": 3, "fft": 3, "ifft": 2, "irfft": 2}
 
     def test_polar_warm(self, fft_calls):
         grid = build_polar_grid(1.0, 16, 0.99)
@@ -319,7 +327,8 @@ class TestTransformCounts:
         solve_polar(field, tables)
         fft_calls.clear()
         solve_polar(field, tables)
-        assert len(fft_calls) <= 14
+        # three planes and three hole rings forward; four ring and four hole inverses
+        assert Counter(fft_calls) == {"rfft": 6, "fft": 3, "ifft": 4, "irfft": 8}
 
 
 @pytest.mark.parametrize("solve", [solve_cartesian, solve_polar, solve_softened_cartesian],
