@@ -74,19 +74,7 @@ def order_of_accuracy(e_coarse: float, e_fine: float) -> float:
 
 def restrict_fine_to_coarse(fine: ForceField) -> ForceField:
     """Average the four children of each coarse cell of a 2n Cartesian field."""
-    grid = fine.grid
-    if grid.coords != "cartesian":
-        raise ValueError("restriction is defined for Cartesian fields")
-    if grid.n % 2:
-        raise ValueError("fine grid size must be even")
-    coarse = build_cartesian_grid(grid.half_width, grid.n // 2)
-
-    def down(a):
-        return 0.25 * (a[0::2, 0::2] + a[1::2, 0::2] + a[0::2, 1::2] + a[1::2, 1::2])
-
-    return ForceField(coarse, down(fine.comp_u), down(fine.comp_v),
-                      sign_convention=fine.sign_convention,
-                      slope_source=fine.slope_source)
+    return restrict_closest4(fine, fine.grid.n // 2)
 
 
 def restrict_closest4(fine: ForceField, n_target: int) -> ForceField:
@@ -102,13 +90,11 @@ def restrict_closest4(fine: ForceField, n_target: int) -> ForceField:
     ratio, rem = divmod(grid.n, n_target)
     if rem or ratio & (ratio - 1) or ratio < 2:
         raise ValueError(f"{grid.n} is not a power-of-two multiple of {n_target}")
-    h = ratio // 2
-    base = np.arange(n_target) * ratio
-    idx = np.stack([base + h - 1, base + h], axis=1).ravel()
+    lo = np.arange(n_target) * ratio + ratio // 2 - 1
+    hi = lo + 1
 
     def down(a):
-        blk = a[np.ix_(idx, idx)].reshape(n_target, 2, n_target, 2)
-        return blk.mean(axis=(1, 3))
+        return 0.25 * (a[lo][:, lo] + a[hi][:, lo] + a[lo][:, hi] + a[hi][:, hi])
 
     coarse = build_cartesian_grid(grid.half_width, n_target)
     return ForceField(coarse, down(fine.comp_u), down(fine.comp_v),

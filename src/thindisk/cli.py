@@ -235,6 +235,8 @@ def bench_csv(records) -> str:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 3:
+        raise UsageError("bench needs at least 3 repetitions")
     records = run_bench(args.N, repeats=args.repeats, direct_n=args.direct_N or [],
                         half_width=args.M)
     _write_text(args.out, bench_csv(records))
@@ -373,9 +375,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:
         args = _apply_config(args, argv)
-        if getattr(args, "repeats", 3) and getattr(args, "command", "") == "bench" \
-                and args.repeats < 3:
-            raise UsageError("bench needs at least 3 repetitions")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,15 +1,101 @@
 """Offset-indexed double sums as zero-padded FFT convolutions.
 
-Wrap-layout kernels (see kernels_cartesian.wrap_offsets) convolved with an
-n-sized field: non-periodic axes are zero-padded to twice their length so
-the circular product reproduces the aperiodic sum exactly; the polar
-azimuthal axis is genuinely periodic and needs no padding.  ``direct``
-variants evaluate the literal quadruple sum and serve as the oracle for the
-fast path (and as the honest O(n^4) method in benchmarks).
+Wrap-layout kernels (see wrap_offsets) convolved with an n-sized field:
+non-periodic axes are zero-padded to twice their length so the circular
+product reproduces the aperiodic sum exactly; the polar azimuthal axis is
+genuinely periodic and needs no padding.  This module is the spectral layer
+of the package: the padded transform pair, the real-quadrant transform of
+parity-symmetric kernels and the spectral accumulator that the solver and
+fft_convolve share.  numpy.fft and scipy.fft are looked up per call, so code
+that wraps their functions sees every transform.  ``direct`` variants
+evaluate the literal quadruple sum and serve as the oracle for the fast path
+(and as the honest O(n^4) method in benchmarks).
 """
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
+
+
+def wrap_offsets(n: int) -> np.ndarray:
+    """Offsets [0..n, -n+1..-1] in the wrap-around order of a 2n transform."""
+    return np.concatenate([np.arange(n + 1), np.arange(-n + 1, 0)])
+
+
+def padded_rfft2(a: np.ndarray, shape) -> np.ndarray:
+    """rfft2 of ``a`` zero-padded to ``shape``.
+
+    Rows len(a).. of the padded input are zero: axis 1 is transformed for
+    a's rows alone into a zeroed spectrum, then axis 0 in place.
+    """
+    spec = np.zeros((shape[0], shape[1] // 2 + 1), complex)
+    np.fft.rfft(a, n=shape[1], axis=1, out=spec[:len(a)])
+    return np.fft.fft(spec, axis=0, out=spec)
+
+
+def cropped_irfft2(spec: np.ndarray, shape, n0: int, n1: int) -> np.ndarray:
+    """The [:n0, :n1] corner of the inverse of an rfft2 half-spectrum of
+    ``shape``.  Axis 0 is inverted in place over ``spec``, which is spent;
+    only output rows :n0 are kept, so axis 1 is inverted for those alone."""
+    np.fft.ifft(spec, axis=0, out=spec)
+    return np.fft.irfft(spec[:n0], n=shape[1], axis=1)[:, :n1].copy()
+
+
+def parity_rfft2(a: np.ndarray, parity) -> np.ndarray:
+    """Real quadrant R of the rfft2 half-spectrum of the 2n x 2n wrap-layout
+    table whose entries at offsets 0..n are ``a`` and whose (row, column)
+    ``parity`` is +1 (even) or -1 (odd) under offset negation.
+
+    Rows 0..n of the 2n x (n+1) half-spectrum are R, times 1j when exactly
+    one axis is odd; rows n+1..2n-1 are R's rows n-1..1 times the row
+    parity (see accumulate).  An even axis takes a DCT-I, an odd one a DST-I
+    of entries 1..n-1, which is the DFT times 1j and vanishes at 0 and n:
+    the wrap-layout entries at offset n of an odd axis never reach the
+    aperiodic sum and count as zero.  Odd axes go first.
+    """
+    odd = tuple(axis for axis, p in enumerate(parity) if p < 0)
+    even = tuple(axis for axis, p in enumerate(parity) if p > 0)
+    inner = tuple(slice(1, -1) if p < 0 else slice(None) for p in parity)
+    r = scipy.fft.dstn(a[inner], type=1, axes=odd) if odd else a
+    r = scipy.fft.dctn(r, type=1, axes=even) if even else r
+    if not odd:
+        return r
+    out = np.zeros_like(a)
+    out[inner] = r
+    return np.negative(out, out=out)
+
+
+def accumulate(accs: dict, products, spec: np.ndarray, imaginary: bool) -> None:
+    """accs[key] += kernel * spec for each (key, kernel, row_sign) of
+    products (one per key), spec first multiplied by 1j if imaginary; a new
+    accumulator starts at its product.  spec is swept once, in blocks of at
+    least 64 rows and 2**15 entries that serve every product while in cache:
+    no spectrum-sized temporary.  A kernel of m < len(spec) rows is a
+    parity_rfft2 quadrant: row i >= m of the spectrum it stands for is its
+    row len(spec) - i times row_sign."""
+    rows = len(spec)
+    fresh = [key for key, _, _ in products if key not in accs]
+    for key in fresh:
+        accs[key] = np.empty(spec.shape, complex)
+    step = max(64, 2**15 // spec.shape[1])
+    m = min(len(kernel) for _, kernel, _ in products)
+    bounds = [*range(0, m, step), *range(m, rows, step), rows]
+    for start, stop in zip(bounds, bounds[1:]):
+        block = spec[start:stop]
+        if imaginary:
+            block *= 1j
+        for key, kernel, row_sign in products:
+            if start < len(kernel):
+                term, sign = kernel[start:stop] * block, 1
+            else:
+                term, sign = kernel[rows - start:rows - stop:-1] * block, row_sign
+            acc = accs[key][start:stop]
+            if key in fresh:
+                np.multiply(term, sign, out=acc)
+            elif sign > 0:
+                acc += term
+            else:
+                acc -= term
 
 
 def fft_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> np.ndarray:
@@ -23,11 +109,9 @@ def fft_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> np.n
     shape = (2 * n0 if 0 in pad_axes else n0, 2 * n1 if 1 in pad_axes else n1)
     if kernel.shape != shape:
         raise ValueError(f"kernel shape {kernel.shape} does not match padded shape {shape}")
-    spec = np.fft.rfft2(field, s=shape)     # zero-padded to the kernel's shape
-    spec *= np.fft.rfft2(kernel)
-    # the inverse writes over the spent product: one transform-sized array, not two
-    out = np.fft.irfftn(spec, s=shape, axes=(0, 1), out=spec.view(float)[:, :shape[1]])
-    return out[:n0, :n1].copy()
+    spec = padded_rfft2(field, shape)
+    spec *= padded_rfft2(kernel, shape)
+    return cropped_irfft2(spec, shape, n0, n1)
 
 
 def direct_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Plain-text field files, report CSVs and the binary kernel cache.
+"""Plain-text field files and the binary kernel cache.
 
 Field files are a versioned text contract:
 
@@ -26,7 +26,7 @@ MAGIC = "thindisk v1"
 
 
 class FileFormatError(ValueError):
-    """Unreadable or inconsistent field/report file."""
+    """Unreadable or inconsistent field file or kernel cache."""
 
 
 def _fmt(x: float) -> str:
@@ -140,17 +140,6 @@ def read_force(path) -> ForceField:
     comp_u, rest = _read_block(rest, grid.n, "first component")
     comp_v, rest = _read_block(rest, grid.n, "second component")
     return ForceField(grid, comp_u, comp_v)
-
-
-def write_report(path, report) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
-
-
-def read_report(path):
-    from .analysis import ConvergenceReport
-    with open(path, encoding="utf-8") as fh:
-        return ConvergenceReport.from_csv(fh.read())
 
 
 # --- kernel table cache ----------------------------------------------------

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
+from .convolve import parity_rfft2, wrap_offsets
 from .grids import CartesianGrid
 
 KINDS = ("x0", "xx", "xy", "y0", "yx", "yy")
@@ -40,9 +40,11 @@ def _log_plus_hypot(a, b):
     return out
 
 
-def _point_corners(up, um, vp, vm):
-    """Corner provider: fn at (up, vp), (um, vp), (up, vm) and (um, vm)."""
-    return lambda fn: (fn(up, vp), fn(um, vp), fn(up, vm), fn(um, vm))
+def _point_corners(terms, ap, am, bp, bm):
+    """Corner provider: fn(*terms(a, b)) at (ap, bp), (am, bp), (ap, bm) and
+    (am, bm); terms, the antiderivatives' arguments, is evaluated once."""
+    points = [terms(a, b) for b in (bp, bm) for a in (ap, am)]
+    return lambda fn: tuple(fn(*p) for p in points)
 
 
 def _lattice_corners(values, plus, minus):
@@ -124,31 +126,17 @@ def eval_cartesian_kernel(kind: str, di, dj, grid: CartesianGrid) -> np.ndarray:
 
     dx = grid.dx
     a, b = -np.abs(di), -np.abs(dj)
-    corners = _point_corners((0.5 - a) * dx, (-0.5 - a) * dx, (0.5 - b) * dx, (-0.5 - b) * dx)
+    corners = _point_corners(lambda u, v: (u, v), (0.5 - a) * dx, (-0.5 - a) * dx,
+                             (0.5 - b) * dx, (-0.5 - b) * dx)
     row, col = _parity_signs(kind, di, dj)
     return _assemble(kind, corners, a, b, dx) * row * col
 
 
-def wrap_offsets(n: int) -> np.ndarray:
-    """Offsets [0..n, -n+1..-1] in the wrap-around order of a 2n transform."""
-    return np.concatenate([np.arange(n + 1), np.arange(-n + 1, 0)])
-
-
-def _parity_transform(a: np.ndarray, parity) -> np.ndarray:
-    """2D DFT of the 2n-periodic extension of a's entries 0..n that is even
-    (+1) or odd (-1) along each axis as ``parity`` says: a DCT-I along each
-    even axis, and along each odd one a DST-I of entries 1..n-1, which is
-    the DFT times 1j and vanishes at 0 and n.  Odd axes go first."""
-    odd = tuple(axis for axis, p in enumerate(parity) if p < 0)
-    even = tuple(axis for axis, p in enumerate(parity) if p > 0)
-    inner = tuple(slice(1, -1) if p < 0 else slice(None) for p in parity)
-    r = scipy.fft.dstn(a[inner], type=1, axes=odd) if odd else a
-    r = scipy.fft.dctn(r, type=1, axes=even) if even else r
-    if not odd:
-        return r
-    out = np.zeros_like(a)
-    out[inner] = r
-    return out
+def _cached(cache: dict, key, build):
+    """cache[key], from build() on first use."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 @dataclass
@@ -160,45 +148,33 @@ class KernelTables:
     entry [a, b] is the kernel at offsets (di, dj) = (a, b).  ``table(kind)``
     rebuilds any of the six kinds in the 2n x 2n wrap layout of
     wrap_offsets(n), and ``spectrum(kind)`` gives the real quadrant of its
-    half-spectrum (see spectrum).  Both are cached on first use, so repeated
-    solves on one grid pay the transforms once.
+    half-spectrum (see convolve.parity_rfft2).  Both are cached on first
+    use, so repeated solves on one grid pay the transforms once.
     """
 
     grid: CartesianGrid
     tables: dict = field(repr=False)
-    _full: dict = field(default_factory=dict, repr=False)
-    _spectra: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
+
+    def _per_kind(self, what: str, kind: str, build):
+        # build(kind) for an x-kind; a y-kind gets a row-contiguous transposed
+        # copy of its x-kind's result, for the solver's row blocks
+        x = _Y_FROM_X.get(kind, kind)
+        return _cached(self._cache, (what, kind), lambda: build(kind) if kind == x
+                       else np.ascontiguousarray(getattr(self, what)(x).T))
 
     def table(self, kind: str) -> np.ndarray:
-        if kind not in self._full:
-            x = _Y_FROM_X.get(kind, kind)
-            if kind != x:
-                self._full[kind] = np.ascontiguousarray(self.table(x).T)
-            else:
-                offs = wrap_offsets(self.grid.n)
-                row, col = (np.where(offs < 0, p, 1.0) for p in PARITY[kind])
-                mirror = np.ix_(np.abs(offs), np.abs(offs))
-                self._full[kind] = self.tables[kind][mirror] * row[:, None] * col[None, :]
-        return self._full[kind]
+        def build(x):
+            # (|di|, |dj|) -> (di, dj) takes the factor of (-|di|, -|dj|) -> (-di, -dj)
+            offs = wrap_offsets(self.grid.n)
+            row, col = _parity_signs(x, -offs[:, None], -offs[None, :])
+            return self.tables[x][np.ix_(np.abs(offs), np.abs(offs))] * row * col
+        return self._per_kind("table", kind, build)
 
     def spectrum(self, kind: str) -> np.ndarray:
-        """Real (n+1) x (n+1) quadrant R of the kind's rfft2 half-spectrum.
-
-        Rows 0..n of the 2n x (n+1) half-spectrum are R, times 1j for the
-        kinds odd in one axis only (x0, y0); rows n+1..2n-1 are R's rows
-        n-1..1 times the kind's row parity.  The y-family gets a transposed
-        copy of its x-kind's quadrant, row-contiguous for the solver's row
-        blocks.  The wrap-layout entries at offset n
-        of an odd axis never reach the aperiodic sum and count as zero.
-        """
-        if kind not in self._spectra:
-            x = _Y_FROM_X.get(kind, kind)
-            if kind != x:
-                self._spectra[kind] = np.ascontiguousarray(self.spectrum(x).T)
-            else:
-                r = _parity_transform(self.tables[x], PARITY[x])
-                self._spectra[kind] = r if PARITY[x] == (1, 1) else -r
-        return self._spectra[kind]
+        """parity_rfft2's real (n+1) x (n+1) quadrant of the kind's half-spectrum."""
+        return self._per_kind("spectrum", kind,
+                              lambda x: parity_rfft2(self.tables[x], PARITY[x]))
 
 
 def tabulate_cartesian_kernels(grid: CartesianGrid, threads: int = 1) -> KernelTables:

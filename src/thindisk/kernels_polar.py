@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convolve import padded_rfft2, wrap_offsets
 from .grids import PolarGrid
-from .kernels_cartesian import _lattice_corners, _log_plus_hypot, wrap_offsets
+from .kernels_cartesian import _cached, _lattice_corners, _log_plus_hypot, _point_corners
 
 KINDS = ("r0", "rr", "rt", "t0", "tr", "tt")
 POTENTIAL_KINDS = ("p0", "pr", "pt")
@@ -163,24 +164,17 @@ def _assemble(kind, corners, ratio_correction, dtheta):
     return formulas[kind]()
 
 
-def _point_corners(tp, tm, up, um):
-    """Corner provider: f at (tp, up), (tm, up), (tp, um) and (tm, um)."""
-    chords = [_chord(t, u) for u in (up, um) for t in (tp, tm)]
-    return lambda f: tuple(f(*chord) for chord in chords)
-
-
 def eval_polar_kernel(kind: str, di, dj, grid: PolarGrid) -> np.ndarray:
     """Ring-cell kernel at radial offset di = i - i', angular offset dj = j - j'."""
-    corners = _point_corners(*_radial_limits(di, grid), *_theta_nodes(dj, grid.dtheta))
+    corners = _point_corners(_chord, *_radial_limits(di, grid), *_theta_nodes(dj, grid.dtheta))
     corr = np.power(grid.ratio, np.asarray(di, dtype=float))
     return _assemble(kind, corners, corr, grid.dtheta)
 
 
 def _hole_correction(i, grid: PolarGrid):
-    """r0/r_i, the hole's representative radius over the target ring's."""
-    b = grid.ratio
-    r_i = b ** (grid.n - np.asarray(i, dtype=float)) * grid.outer_radius * (1.0 + b) / 2.0
-    return grid.hole_radius_mid / r_i
+    """r0/r_i, the hole's representative radius over the target ring's:
+    (ratio**n M / 2) / (ratio**(n - i) M (1 + ratio) / 2), free of M."""
+    return grid.ratio ** np.asarray(i, dtype=float) / (1.0 + grid.ratio)
 
 
 def eval_hole_kernel(kind: str, i, dj, grid: PolarGrid) -> np.ndarray:
@@ -194,17 +188,8 @@ def eval_hole_kernel(kind: str, i, dj, grid: PolarGrid) -> np.ndarray:
     if np.any(i < 1):
         raise ValueError("hole kernels are defined for target rings i >= 1")
     th, _ = _radial_limits(i, grid)
-    corners = _point_corners(th, np.zeros_like(th), *_theta_nodes(dj, grid.dtheta))
+    corners = _point_corners(_chord, th, np.zeros_like(th), *_theta_nodes(dj, grid.dtheta))
     return _assemble(kind, corners, _hole_correction(i, grid), grid.dtheta)
-
-
-def _lazy_spectrum(attr: str, transform):
-    """Method caching transform(self.<attr>[kind]) per kind in self._spectra."""
-    def spectrum(self, kind: str) -> np.ndarray:
-        if (attr, kind) not in self._spectra:
-            self._spectra[attr, kind] = transform(getattr(self, attr)[kind])
-        return self._spectra[attr, kind]
-    return spectrum
 
 
 @dataclass
@@ -219,7 +204,7 @@ class PolarKernelTables:
     grid: PolarGrid
     tables: dict = field(repr=False)
     hole_tables: dict = field(repr=False)
-    _spectra: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def table(self, kind: str) -> np.ndarray:
         return self.tables[kind]
@@ -227,9 +212,13 @@ class PolarKernelTables:
     def hole_table(self, kind: str) -> np.ndarray:
         return self.hole_tables[kind]
 
-    # numpy.fft is looked up per call, so code that wraps its functions sees these
-    spectrum = _lazy_spectrum("tables", lambda a: np.fft.rfft2(a))
-    hole_spectrum = _lazy_spectrum("hole_tables", lambda a: np.fft.rfft(a, axis=1))
+    def spectrum(self, kind: str) -> np.ndarray:
+        a = self.tables[kind]
+        return _cached(self._cache, ("ring", kind), lambda: padded_rfft2(a, a.shape))
+
+    def hole_spectrum(self, kind: str) -> np.ndarray:
+        return _cached(self._cache, ("hole", kind),
+                       lambda: np.fft.rfft(self.hole_tables[kind], axis=1))
 
 
 def tabulate_polar_kernels(grid: PolarGrid, kinds=KINDS, threads: int = 1) -> PolarKernelTables:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .convolve import direct_convolve, ring_convolve_direct
+from .convolve import accumulate, cropped_irfft2, direct_convolve, padded_rfft2, \
+    ring_convolve_direct
 from .grids import CartesianGrid, PolarGrid
 from .kernels_cartesian import PARITY, KernelTables
 from .kernels_polar import POTENTIAL_KINDS, PolarKernelTables, tabulate_polar_kernels
@@ -95,39 +96,6 @@ def _direct_sums(terms, field: DensityField, tables) -> dict:
     return outs
 
 
-def _accumulate(accs: dict, products, spec: np.ndarray, imaginary: bool) -> None:
-    """accs[key] += kernel * spec for each (key, kernel, row_sign) of
-    products (one per key), spec first multiplied by 1j if imaginary; a new
-    accumulator starts at its product.  spec is swept once, in blocks of at
-    least 64 rows and 2**15 entries that serve every product while in cache:
-    no spectrum-sized temporary.  A kernel of m < len(spec) rows is a
-    quadrant: row i >= m of the spectrum it stands for is its row
-    len(spec) - i times row_sign."""
-    rows = len(spec)
-    fresh = [key for key, _, _ in products if key not in accs]
-    for key in fresh:
-        accs[key] = np.empty(spec.shape, complex)
-    step = max(64, 2**15 // spec.shape[1])
-    m = min(len(kernel) for _, kernel, _ in products)
-    bounds = [*range(0, m, step), *range(m, rows, step), rows]
-    for start, stop in zip(bounds, bounds[1:]):
-        block = spec[start:stop]
-        if imaginary:
-            block *= 1j
-        for key, kernel, row_sign in products:
-            if start < len(kernel):
-                term, sign = kernel[start:stop] * block, 1
-            else:
-                term, sign = kernel[rows - start:rows - stop:-1] * block, row_sign
-            acc = accs[key][start:stop]
-            if key in fresh:
-                np.multiply(term, sign, out=acc)
-            elif sign > 0:
-                acc += term
-            else:
-                acc -= term
-
-
 def _fft_sums(terms, field: DensityField, tables) -> dict:
     grid, n = field.grid, field.grid.n
     shape = (2 * n, n if grid.coords == "polar" else 2 * n)
@@ -141,20 +109,8 @@ def _fft_sums(terms, field: DensityField, tables) -> dict:
     # the plane after which each (output, r_i factor) accumulator is complete
     last = {(o, r): p for p in order for o, _, q, r in terms if q == p}
 
-    def plane_forward(a):
-        # rows n.. of the padded input are zero: transform the n rows along
-        # axis 1 into a zeroed spectrum, then axis 0 in place
-        spec = np.zeros((shape[0], shape[1] // 2 + 1), complex)
-        np.fft.rfft(a, n=shape[1], axis=1, out=spec[:n])
-        return np.fft.fft(spec, axis=0, out=spec)
-
-    def plane_inverse(a):
-        # axis 0 is inverted in place over the spent accumulator; only output
-        # rows :n are kept, so axis 1 is inverted for those rows alone
-        np.fft.ifft(a, axis=0, out=a)
-        return np.fft.irfft(a[:n], n=shape[1], axis=1)[:, :n].copy()
-
-    passes = [(tables.spectrum, "", plane_forward, plane_inverse)]
+    passes = [(tables.spectrum, "", lambda a: padded_rfft2(a, shape),
+               lambda a: cropped_irfft2(a, shape, n, n))]
     if grid.coords == "polar":
         # one ring spectrum for all the hole table's target rings
         passes.append((tables.hole_spectrum, "hole_",
@@ -168,8 +124,8 @@ def _fft_sums(terms, field: DensityField, tables) -> dict:
             rows = [(out, kind, radial) for out, kind, q, radial in terms if q == plane]
             products = [((out, radial), kernels[kind], parity.get(kind, (1, 1))[0])
                         for out, kind, radial in rows]
-            _accumulate(accs, products, forward(getattr(field, prefix + plane)),
-                        any(kind in imaginary for _, kind, _ in rows))
+            accumulate(accs, products, forward(getattr(field, prefix + plane)),
+                       any(kind in imaginary for _, kind, _ in rows))
             for out, radial in [k for k, p in last.items() if p == plane]:
                 term = inverse(accs.pop((out, radial)))
                 term = grid.r_centers[:, None] * term if radial else term

@@ -218,8 +218,14 @@ class TestOtherCommands:
         assert "proposed,whole,32" in text
         assert "direct,whole,8" in text
 
-    def test_bench_repeat_floor(self):
-        assert main(["bench", "--N", "8", "--repeats", "1", "--threads", "1"]) == 1
+    def test_bench_repeat_floor(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("repeats = 0\n")
+        out = tmp_path / "b.csv"
+        for extra in (["--repeats", "1"], ["--repeats", "0"], ["--config", str(cfg)]):
+            assert main(["bench", "--N", "8", "--threads", "1", "--out", str(out)] + extra) == 1
+            assert "bench needs at least 3 repetitions" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchHarness:
@@ -234,11 +240,55 @@ class TestBenchHarness:
         assert all(r.mean_seconds > 0 and r.repeats == 3 for r in recs)
 
 
+_PUBLIC_NAMES = [
+    "CartesianGrid", "PolarGrid", "build_cartesian_grid", "build_polar_grid",
+    "D2Disk", "D2PairDisk", "LogSpiralDisk", "CallableModel", "DensityField",
+    "eval_density", "sample_density",
+    "KernelTables", "eval_cartesian_kernel", "tabulate_cartesian_kernels",
+    "PolarKernelTables", "eval_F", "eval_H1", "eval_H2", "eval_polar_kernel",
+    "eval_hole_kernel", "tabulate_polar_kernels",
+    "fft_convolve", "direct_convolve",
+    "ForceField", "solve_cartesian", "solve_cartesian_direct", "solve_polar",
+    "solve_polar_direct", "polar_potential",
+    "SofteningConfig", "KalnajsConfig", "solve_softened_cartesian",
+    "complex_gamma", "spectral_transfer_kernel", "kalnajs_gamma_kernel",
+    "kalnajs_potential_axisym",
+    "ConvergenceReport", "error_norms", "order_of_accuracy",
+    "restrict_fine_to_coarse", "run_convergence", "run_self_convergence",
+    "singular_trapezoid_study",
+]
+
+_COMMON = ["-h", "--help", "--config", "--threads", "--M", "--alpha", "--sigma0"]
+_OPTIONS = {
+    "solve": _COMMON + ["--coords", "--model", "--input", "--N", "--beta0", "--method",
+                        "--epsilon", "--slopes", "--sign", "--kernel-cache", "--out"],
+    "converge": _COMMON + ["--coords", "--model", "--N", "--beta0", "--method", "--slopes",
+                           "--row-convention", "--truth-N", "--out"],
+    "bench": _COMMON + ["--N", "--direct-N", "--repeats", "--out"],
+    "kernels": _COMMON + ["--coords", "--N", "--beta0", "--out"],
+    "singular-study": ["-h", "--help", "--config", "--k-min", "--k-max", "--out"],
+    "kalnajs": _COMMON + ["--model", "--N", "--u-min", "--alpha-max", "--n-alpha",
+                          "--r-min", "--r-max", "--points", "--out"],
+}
+
+
 class TestContract:
     def test_public_names_resolve(self):
         import thindisk
         missing = [name for name in thindisk.__all__ if not hasattr(thindisk, name)]
         assert missing == []
+
+    def test_public_names_pinned(self):
+        import thindisk
+        assert thindisk.__all__ == _PUBLIC_NAMES
+
+    def test_cli_options_pinned(self):
+        import argparse
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: [o for a in sp._actions for o in a.option_strings]
+               for name, sp in sub.choices.items()}
+        assert got == _OPTIONS
 
     @pytest.mark.parametrize("argv", [["solve"], ["converge"], ["bench"],
                                       ["kernels", "--out", "k.npz"], ["kalnajs"]])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import fft_convolve_complex
-from thindisk.convolve import direct_convolve, fft_convolve, ring_convolve_direct
+from thindisk.convolve import (cropped_irfft2, direct_convolve, fft_convolve, padded_rfft2,
+                               ring_convolve_direct)
 
 
 def _rng(seed=0):
@@ -50,6 +51,15 @@ class TestFFTConvolve:
         a = _rng(4).standard_normal((32, 32))
         back = np.fft.irfft2(np.fft.rfft2(a), s=a.shape)
         assert np.abs(back - a).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", [(34, 34), (34, 17), (17, 34)])
+    def test_padded_pair_is_numpys_rfft2_pair(self, shape):
+        # the rows and columns the pair skips are zero in, or cut from, numpy's
+        a = _rng(5).standard_normal((17, 17))
+        spec = padded_rfft2(a, shape)
+        np.testing.assert_array_equal(spec, np.fft.rfft2(a, s=shape))
+        want = np.fft.irfft2(spec, s=shape)[:17, :17]
+        np.testing.assert_array_equal(cropped_irfft2(spec, shape, 17, 17), want)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

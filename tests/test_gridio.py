@@ -8,8 +8,8 @@ from thindisk import (D2Disk, build_cartesian_grid, build_polar_grid,
                       sample_density, tabulate_cartesian_kernels,
                       tabulate_polar_kernels)
 from thindisk.gridio import (FileFormatError, load_kernel_tables, read_density,
-                             read_force, read_report, save_kernel_tables,
-                             write_density, write_force, write_report)
+                             read_force, save_kernel_tables, write_density,
+                             write_force)
 from thindisk.kernels_cartesian import KINDS
 from thindisk.models import DensityField
 from thindisk.solver import ForceField
@@ -302,14 +302,3 @@ class TestKernelCache:
         with pytest.raises(FileFormatError, match=key):
             load_kernel_tables(p, grid)
 
-
-class TestReportFiles:
-    def test_file_round_trip(self, tmp_path):
-        from thindisk import run_convergence
-        rep = run_convergence(D2Disk(), [8, 16], method="softening")
-        p = tmp_path / "rep.csv"
-        write_report(p, rep)
-        back = read_report(p)
-        assert back.n_values == rep.n_values
-        for c in rep.components:
-            assert back.norms[c] == rep.norms[c]

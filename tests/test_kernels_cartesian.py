@@ -139,6 +139,7 @@ class TestTables:
             if kind.startswith("y"):
                 return literal(kernels_cartesian._Y_FROM_X[kind], dj, di)
             corners = kernels_cartesian._point_corners(
+                lambda u, v: (u, v),
                 (0.5 - di) * dx, (-0.5 - di) * dx, (0.5 - dj) * dx, (-0.5 - dj) * dx)
             return float(kernels_cartesian._assemble(kind, corners, di, dj, dx))
 

@@ -162,6 +162,14 @@ class TestTables:
         with pytest.raises(ValueError):
             eval_hole_kernel("r0", 0, 0, grid16)
 
+    def test_tables_do_not_depend_on_outer_radius(self):
+        # every table is a function of the index offsets, ratio and dtheta
+        a = tabulate_polar_kernels(build_polar_grid(1.0, 33, 0.99), kinds=KINDS + POTENTIAL_KINDS)
+        b = tabulate_polar_kernels(build_polar_grid(7.3, 33, 0.99), kinds=KINDS + POTENTIAL_KINDS)
+        for kind in KINDS + POTENTIAL_KINDS:
+            np.testing.assert_array_equal(a.table(kind), b.table(kind))
+            np.testing.assert_array_equal(a.hole_table(kind), b.hole_table(kind))
+
     def test_threaded_tabulation_matches(self):
         g = build_polar_grid(1.0, 64, 0.99)
         a = tabulate_polar_kernels(g, threads=1)
