@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import direct_convolve, fft_convolve
+from .convolve import accumulate, cropped_irfft2, direct_convolve, padded_rfft2, \
+    parity_rfft2, wrap_offsets
 from .grids import CartesianGrid
-from .kernels_cartesian import wrap_offsets
 from .models import G, DensityField
 from .solver import ForceField
 
@@ -145,14 +145,17 @@ def softened_potential(field: DensityField, cfg: SofteningConfig | None = None,
         raise ValueError("softened solver runs on Cartesian grids")
     eps = cfg.epsilon if cfg is not None else grid.dx
     n = grid.n
-    offs = wrap_offsets(n) * grid.dx
+    if method not in ("fft", "direct"):
+        raise ValueError(f"unknown method {method!r}")
+    # the kernel is even on both axes: its spectrum is one real (n+1)^2 quadrant
+    offs = (np.arange(n + 1) if method == "fft" else wrap_offsets(n)) * grid.dx
     kernel = -G / np.sqrt(eps * eps + offs[:, None] ** 2 + offs[None, :] ** 2)
     mass = field.values * grid.cell_area
-    if method == "fft":
-        return fft_convolve(kernel, mass)
     if method == "direct":
         return direct_convolve(kernel, mass)
-    raise ValueError(f"unknown method {method!r}")
+    shape, accs = (2 * n, 2 * n), {}
+    accumulate(accs, [(0, parity_rfft2(kernel, (1, 1)), 1)], padded_rfft2(mass, shape), False)
+    return cropped_irfft2(accs[0], shape, n, n)
 
 
 def _difference_axis0(phi: np.ndarray, h: float) -> np.ndarray:

@@ -33,12 +33,14 @@ def padded_rfft2(a: np.ndarray, shape) -> np.ndarray:
     return np.fft.fft(spec, axis=0, out=spec)
 
 
+def cropped_ifft(spec: np.ndarray, n0: int) -> np.ndarray:
+    """Rows :n0, still axis-1 spectra, of spec's axis-0 inverse made in place."""
+    return np.fft.ifft(spec, axis=0, out=spec)[:n0]
+
+
 def cropped_irfft2(spec: np.ndarray, shape, n0: int, n1: int) -> np.ndarray:
-    """The [:n0, :n1] corner of the inverse of an rfft2 half-spectrum of
-    ``shape``.  Axis 0 is inverted in place over ``spec``, which is spent;
-    only output rows :n0 are kept, so axis 1 is inverted for those alone."""
-    np.fft.ifft(spec, axis=0, out=spec)
-    return np.fft.irfft(spec[:n0], n=shape[1], axis=1)[:, :n1].copy()
+    """The [:n0, :n1] corner of the inverse of a ``shape`` rfft2 half-spectrum."""
+    return np.fft.irfft(cropped_ifft(spec, n0), n=shape[1], axis=1)[:, :n1].copy()
 
 
 def parity_rfft2(a: np.ndarray, parity) -> np.ndarray:

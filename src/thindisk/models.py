@@ -311,26 +311,22 @@ def sample_density(model, grid: CartesianGrid | PolarGrid, slopes: str = "auto")
         return DensityField(grid, vals, np.asarray(su, float), np.asarray(sv, float),
                             slope_source=slopes)
 
-    Rg, Tg = grid.center_mesh()
-    X = Rg * np.cos(Tg)
-    Y = Rg * np.sin(Tg)
+    r, r0 = grid.r_centers[:, None], grid.hole_radius_mid
+    cos, sin = np.cos(grid.theta_centers), np.sin(grid.theta_centers)
+    X, Y, x0, y0 = r * cos, r * sin, r0 * cos, r0 * sin
     vals = model.density(X, Y)
-    r0 = grid.hole_radius_mid
-    x0 = r0 * np.cos(grid.theta_centers)
-    y0 = r0 * np.sin(grid.theta_centers)
     hole_vals = model.density(x0, y0)
     if slopes == "analytic":
         gx, gy = model.density_gradient(X, Y)
-        su = gx * np.cos(Tg) + gy * np.sin(Tg)
-        sv = Rg * (-gx * np.sin(Tg) + gy * np.cos(Tg))
+        su = gx * cos + gy * sin
+        sv = r * (-gx * sin + gy * cos)
         g0x, g0y = model.density_gradient(x0, y0)
-        h_su = g0x * np.cos(grid.theta_centers) + g0y * np.sin(grid.theta_centers)
-        h_sv = r0 * (-g0x * np.sin(grid.theta_centers) + g0y * np.cos(grid.theta_centers))
+        h_su = g0x * cos + g0y * sin
+        h_sv = r0 * (-g0x * sin + g0y * cos)
     else:
         su, sv = central_difference_slopes(vals, grid.r_centers, grid.theta_centers)
         # hole ring: reuse the innermost ring's slopes as the best available data
-        h_su = su[0].copy()
-        h_sv = sv[0].copy()
+        h_su, h_sv = su[0].copy(), sv[0].copy()
     return DensityField(grid, vals, np.asarray(su, float), np.asarray(sv, float),
                         slope_source=slopes,
                         hole_values=np.asarray(hole_vals, float),

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .convolve import accumulate, cropped_irfft2, direct_convolve, padded_rfft2, \
-    ring_convolve_direct
+from .convolve import accumulate, cropped_ifft, cropped_irfft2, direct_convolve, \
+    padded_rfft2, ring_convolve_direct
 from .grids import CartesianGrid, PolarGrid
 from .kernels_cartesian import PARITY, KernelTables
 from .kernels_polar import POTENTIAL_KINDS, PolarKernelTables, tabulate_polar_kernels
@@ -98,39 +98,37 @@ def _direct_sums(terms, field: DensityField, tables) -> dict:
 
 def _fft_sums(terms, field: DensityField, tables) -> dict:
     grid, n = field.grid, field.grid.n
-    shape = (2 * n, n if grid.coords == "polar" else 2 * n)
+    polar = grid.coords == "polar"
+    shape = (2 * n, n if polar else 2 * n)
     # Cartesian kernel spectra are stored as real quadrants; those of x0 and
     # y0 carry a factor 1j, which goes once onto the one plane they (and no
     # other kind) read
-    parity = PARITY if grid.coords == "cartesian" else {}
+    parity = {} if polar else PARITY
     imaginary = {kind for kind, (r, c) in parity.items() if r * c < 0}
     order = sorted(dict.fromkeys(p for _, _, p, _ in terms),
                    key=lambda p: not any(r for _, _, q, r in terms if q == p))
     # the plane after which each (output, r_i factor) accumulator is complete
     last = {(o, r): p for p in order for o, _, q, r in terms if q == p}
-
-    passes = [(tables.spectrum, "", lambda a: padded_rfft2(a, shape),
-               lambda a: cropped_irfft2(a, shape, n, n))]
-    if grid.coords == "polar":
-        # one ring spectrum for all the hole table's target rings
-        passes.append((tables.hole_spectrum, "hole_",
-                       lambda a: np.broadcast_to(np.fft.rfft(a), (n, n // 2 + 1)),
-                       lambda a: np.fft.irfft(a, n=n, axis=1)))
-    outs = {}
-    for spectrum, prefix, forward, inverse in passes:
-        kernels = {kind: spectrum(kind) for _, kind, _, _ in terms}
-        accs = {}
-        for plane in order:
-            rows = [(out, kind, radial) for out, kind, q, radial in terms if q == plane]
-            products = [((out, radial), kernels[kind], parity.get(kind, (1, 1))[0])
-                        for out, kind, radial in rows]
-            accumulate(accs, products, forward(getattr(field, prefix + plane)),
-                       any(kind in imaginary for _, kind, _ in rows))
-            for out, radial in [k for k, p in last.items() if p == plane]:
-                term = inverse(accs.pop((out, radial)))
-                term = grid.r_centers[:, None] * term if radial else term
-                outs[out] = outs[out] + term if out in outs else term
-    return outs
+    kernels = {kind: tables.spectrum(kind) for _, kind, _, _ in terms}
+    # a hole sum is a circular theta-convolution and the r_i factor scales
+    # whole rows: both commute with the theta inverse, one per polar output
+    rings = {p: np.fft.rfft(getattr(field, "hole_" + p)) for p in order} if polar else {}
+    accs, outs = {}, {}
+    for plane in order:
+        rows = [(out, kind, radial) for out, kind, q, radial in terms if q == plane]
+        products = [((out, radial), kernels[kind], parity.get(kind, (1, 1))[0])
+                    for out, kind, radial in rows]
+        accumulate(accs, products, padded_rfft2(getattr(field, plane), shape),
+                   any(kind in imaginary for _, kind, _ in rows))
+        for out, radial in [k for k, p in last.items() if p == plane]:
+            spec = (cropped_ifft(accs.pop((out, radial)), n) if polar
+                    else cropped_irfft2(accs.pop((out, radial)), shape, n, n))
+            for o, kind, q, r in terms:
+                if polar and (o, r) == (out, radial):
+                    spec += tables.hole_spectrum(kind) * rings[q]
+            spec = grid.r_centers[:, None] * spec if radial else spec
+            outs[out] = outs[out] + spec if out in outs else spec
+    return {o: np.fft.irfft(s, n=n, axis=1) for o, s in outs.items()} if polar else outs
 
 
 def assemble(terms, field: DensityField, tables, backend: str = "fft") -> list:
@@ -138,9 +136,10 @@ def assemble(terms, field: DensityField, tables, backend: str = "fft") -> list:
 
     "direct" convolves term by term (the O(n^4) oracle) and sums in table
     order, plane terms before hole-ring terms.  "fft" gets the kernel
-    spectra first, transforms the inputs one at a time (r_i-group planes
-    first, hole rings last) into per-(output, r_i factor) accumulators, and
-    inverts each right after its last input."""
+    spectra, transforms each input once (r_i-group planes first) into
+    per-(output, r_i factor) accumulators, and inverts each after its last
+    input: polar ones along r only, adding hole-ring products and the r_i
+    factor to their theta spectra before one theta inverse per output."""
     outs = {"fft": _fft_sums, "direct": _direct_sums}[backend](terms, field, tables)
     return [outs[k] for k in sorted(outs)]
 

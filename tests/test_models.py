@@ -180,6 +180,30 @@ class TestSampling:
                  - spiral.density(Rg * np.cos(Tg - h), Rg * np.sin(Tg - h))) / (2 * h)
         np.testing.assert_allclose(f.slope_v, num_t, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("n", [16, 33])
+    @pytest.mark.parametrize("model", [LogSpiralDisk(), D2PairDisk(offset=0.1)],
+                             ids=lambda m: m.kind)
+    def test_polar_sampling_equals_meshgrid_trig(self, n, model):
+        # the separable trig of sample_density against the full-mesh formula
+        grid = build_polar_grid(1.0, n, 0.9)
+        f = sample_density(model, grid, slopes="analytic")
+        Rg, Tg = grid.center_mesh()
+        X, Y = Rg * np.cos(Tg), Rg * np.sin(Tg)
+        gx, gy = model.density_gradient(X, Y)
+        r0, t = grid.hole_radius_mid, grid.theta_centers
+        x0, y0 = r0 * np.cos(t), r0 * np.sin(t)
+        g0x, g0y = model.density_gradient(x0, y0)
+        want = {
+            "values": model.density(X, Y),
+            "slope_u": gx * np.cos(Tg) + gy * np.sin(Tg),
+            "slope_v": Rg * (-gx * np.sin(Tg) + gy * np.cos(Tg)),
+            "hole_values": model.density(x0, y0),
+            "hole_slope_u": g0x * np.cos(t) + g0y * np.sin(t),
+            "hole_slope_v": r0 * (-g0x * np.sin(t) + g0y * np.cos(t)),
+        }
+        for name, a in want.items():
+            np.testing.assert_array_equal(getattr(f, name), a, err_msg=name)
+
     def test_scaled_field(self):
         grid = build_cartesian_grid(1.0, 8)
         f = sample_density(D2Disk(), grid)

@@ -251,16 +251,24 @@ class TestBackends:
             assert len(fast) == len(slow) == outputs
             for a, b in zip(fast, slow):
                 assert _rel_diff(a, b) < 1e-12
-        # the hole ring alone reaches every output through both backends
+        # the hole ring alone reaches every output through both backends; the
+        # r_i-scaled inputs alone (slope_u and its hole ring) isolate the r_i
+        # group, whose hole terms must be scaled with its ring terms
         f = _zero_field(grid)
         hole_only = DensityField(grid, f.values, f.slope_u, f.slope_v,
                                  hole_values=field.hole_values,
                                  hole_slope_u=field.hole_slope_u,
                                  hole_slope_v=field.hole_slope_v)
-        for a, b in zip(assemble(POLAR_TERMS, hole_only, tables, "fft"),
-                        assemble(POLAR_TERMS, hole_only, tables, "direct")):
-            assert np.abs(b).max() > 0.0
-            assert _rel_diff(a, b) < 1e-12
+        radial_only = DensityField(grid, f.values, field.slope_u, f.slope_v,
+                                   hole_values=f.hole_values,
+                                   hole_slope_u=field.hole_slope_u,
+                                   hole_slope_v=f.hole_slope_v)
+        for part in (hole_only, radial_only):
+            for terms in (POLAR_TERMS, POTENTIAL_TERMS):
+                for a, b in zip(assemble(terms, part, tables, "fft"),
+                                assemble(terms, part, tables, "direct")):
+                    assert np.abs(b).max() > 0.0
+                    assert _rel_diff(a, b) < 1e-12
 
     def test_wrappers_run_the_tables(self):
         grid = build_polar_grid(1.0, 16, 0.99)
@@ -327,8 +335,17 @@ class TestTransformCounts:
         solve_polar(field, tables)
         fft_calls.clear()
         solve_polar(field, tables)
-        # three planes and three hole rings forward; four ring and four hole inverses
-        assert Counter(fft_calls) == {"rfft": 6, "fft": 3, "ifft": 4, "irfft": 8}
+        # three planes and three hole rings forward; a radial inverse per
+        # (output, r_i factor) accumulator and one theta inverse per output
+        assert Counter(fft_calls) == {"rfft": 6, "fft": 3, "ifft": 4, "irfft": 2}
+
+    def test_polar_cold(self, fft_calls):
+        grid = build_polar_grid(1.0, 16, 0.99)
+        tables = tabulate_polar_kernels(grid)
+        solve_polar(_random_field(grid, 2), tables)
+        # plus, once: six padded ring spectra (rfft and fft) and six hole
+        # spectra (rfft along theta)
+        assert Counter(fft_calls) == {"rfft": 18, "fft": 9, "ifft": 4, "irfft": 2}
 
 
 @pytest.mark.parametrize("solve", [solve_cartesian, solve_polar, solve_softened_cartesian],
