@@ -77,6 +77,14 @@ def restrict_fine_to_coarse(fine: ForceField) -> ForceField:
     return restrict_closest4(fine, fine.grid.n // 2)
 
 
+def _restriction_factor(n_fine: int, n_target: int) -> int:
+    """n_fine / n_target, which must be a power of two of at least 2."""
+    ratio, rem = divmod(n_fine, n_target)
+    if rem or ratio & (ratio - 1) or ratio < 2:
+        raise ValueError(f"{n_fine} is not a power-of-two multiple of {n_target}")
+    return ratio
+
+
 def restrict_closest4(fine: ForceField, n_target: int) -> ForceField:
     """Average, per coarse cell, the four fine values nearest its center.
 
@@ -87,9 +95,7 @@ def restrict_closest4(fine: ForceField, n_target: int) -> ForceField:
     grid = fine.grid
     if grid.coords != "cartesian":
         raise ValueError("restriction is defined for Cartesian fields")
-    ratio, rem = divmod(grid.n, n_target)
-    if rem or ratio & (ratio - 1) or ratio < 2:
-        raise ValueError(f"{grid.n} is not a power-of-two multiple of {n_target}")
+    ratio = _restriction_factor(grid.n, n_target)
     lo = np.arange(n_target) * ratio + ratio // 2 - 1
     hi = lo + 1
 
@@ -263,8 +269,7 @@ def run_self_convergence(model, n_values, truth_n, half_width=1.0,
     fully homogenized block mean.
     """
     for n in n_values:
-        if truth_n % n or (truth_n // n) & (truth_n // n - 1):
-            raise ValueError(f"truth resolution {truth_n} does not restrict to {n}")
+        _restriction_factor(truth_n, n)
     _, truth = _proposed_cartesian(model, truth_n, half_width, slope_mode)
     components = ["x", "y", "R"]
     norms = {c: [] for c in components}

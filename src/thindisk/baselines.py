@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .convolve import accumulate, cropped_irfft2, direct_convolve, padded_rfft2, \
     parity_rfft2, wrap_offsets
@@ -20,56 +21,13 @@ from .grids import CartesianGrid
 from .models import G, DensityField
 from .solver import ForceField
 
-# Lanczos g=7, n=9 coefficients (Godfrey's set); relative error below 1e-13
-# on Re(z) > 0, comfortably inside the 1e-10 budget the kernel needs.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos(z):
-    """(z - 1, z - 1 + g + 1/2, series sum): the parts of Gamma(z) shared by
-    complex_gamma and complex_log_gamma."""
-    zz = z - 1.0
-    acc = np.full(zz.shape, _LANCZOS_C[0], dtype=complex)
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc = acc + c / (zz + i)
-    return zz, zz + _LANCZOS_G + 0.5, acc
-
 
 def complex_gamma(z):
-    """Gamma function for complex argument via the Lanczos series."""
+    """Gamma function for complex argument."""
     z = np.asarray(z, dtype=complex)
     if np.any(np.isreal(z) & (z.real <= 0) & (z.real == np.floor(z.real))):
         raise ValueError("gamma pole at a non-positive integer")
-    refl = z.real < 0.5
-    zz, t, acc = _lanczos(np.where(refl, 1.0 - z, z))
-    out = np.sqrt(2.0 * np.pi) * t ** (zz + 0.5) * np.exp(-t) * acc
-    with np.errstate(invalid="ignore", over="ignore"):
-        reflected = np.pi / (np.sin(np.pi * z) * out)
-    return np.where(refl, reflected, out)
-
-
-def complex_log_gamma(z):
-    """log(Gamma(z)) on Re(z) > 0, stable for large imaginary parts.
-
-    The transfer kernel divides gammas whose magnitudes underflow well
-    before the ratio does, so it is formed from log differences.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real <= 0):
-        raise ValueError("complex_log_gamma requires Re(z) > 0")
-    zz, t, acc = _lanczos(z)
-    return 0.5 * np.log(2.0 * np.pi) + (zz + 0.5) * np.log(t) - t + np.log(acc)
+    return special.gamma(z)
 
 
 def spectral_transfer_kernel(alpha, m: int = 0):
@@ -77,6 +35,10 @@ def spectral_transfer_kernel(alpha, m: int = 0):
 
     K = Gamma((m + 1/2 + i*alpha)/2) * Gamma((m + 1/2 - i*alpha)/2)
         / (2 * Gamma((m + 3/2 + i*alpha)/2) * Gamma((m + 3/2 - i*alpha)/2)).
+
+    The two gamma pairs are complex conjugates, so with a = (m + 1/2 + i*alpha)/2
+    K = exp(2 Re(log Gamma(a) - log Gamma(a + 1/2))) / 2; the log form keeps the
+    ratio finite where both gammas underflow.
     """
     if m < 0:
         raise ValueError("azimuthal mode m must be non-negative")
@@ -84,15 +46,10 @@ def spectral_transfer_kernel(alpha, m: int = 0):
     # beyond ~1e12 the log-gamma differences cancel past double precision
     if np.any(np.abs(alpha) > 1e12) or m > 1e12:
         raise OverflowError("transfer kernel loses all precision; alpha or m out of range")
-    ia = 1j * alpha
-    lg = (complex_log_gamma((m + 0.5 + ia) / 2) + complex_log_gamma((m + 0.5 - ia) / 2)
-          - complex_log_gamma((m + 1.5 + ia) / 2) - complex_log_gamma((m + 1.5 - ia) / 2))
-    val = 0.5 * np.exp(lg)
-    if np.any(~np.isfinite(val.real)):
+    a = (m + 0.5 + 1j * alpha) / 2
+    out = 0.5 * np.exp(2.0 * (special.loggamma(a) - special.loggamma(a + 0.5)).real)
+    if np.any(~np.isfinite(out)):
         raise OverflowError("transfer kernel overflowed; alpha out of range")
-    out = val.real
-    # the exact expression is real and positive; the residual imaginary part
-    # is pure round-off
     return out if out.ndim else float(out)
 
 
@@ -158,15 +115,6 @@ def softened_potential(field: DensityField, cfg: SofteningConfig | None = None,
     return cropped_irfft2(accs[0], shape, n, n)
 
 
-def _difference_axis0(phi: np.ndarray, h: float) -> np.ndarray:
-    """Second-order d/du along axis 0, one-sided at the two boundary rows."""
-    out = np.empty_like(phi)
-    out[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * h)
-    out[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * h)
-    return out
-
-
 def solve_softened_cartesian(field: DensityField, cfg: SofteningConfig | None = None,
                              method: str = "fft",
                              sign_convention: str = "attractive") -> ForceField:
@@ -176,9 +124,9 @@ def solve_softened_cartesian(field: DensityField, cfg: SofteningConfig | None = 
     limits this method to first order.  Default softening is one cell, eps = dx.
     """
     grid = field.grid
-    phi = softened_potential(field, cfg, method=method)
-    fx = -_difference_axis0(phi, grid.dx)
-    fy = -_difference_axis0(phi.T, grid.dx).T
+    # second-order centered differences, one-sided at the boundary rows
+    fx, fy = np.gradient(-softened_potential(field, cfg, method=method), grid.dx,
+                         edge_order=2)
     return ForceField(grid, fx, fy, slope_source=field.slope_source).as_convention(
         sign_convention)
 

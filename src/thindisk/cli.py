@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: solve, converge, bench, kernels, singular-study, kalnajs.  Flags
-override an optional key=value config file, which overrides defaults.  Exit
-codes: 0 success, 1 usage error, 2 I/O error, 3 numerical failure.
+override an optional key=value config file (keys are the command's option
+names), which overrides defaults.  Exit codes: 0 success, 1 usage error,
+2 I/O error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -51,9 +52,15 @@ def make_model(name: str, alpha: float, sigma0: float):
     raise UsageError(f"unknown model {name!r} (expected d2, d2_2 or log-spiral)")
 
 
-def _read_config(path):
-    out = {}
-    with open(path, encoding="utf-8") as fh:
+def _config_options(args) -> list:
+    """The ``key = value`` lines of ``args.config`` as ``--key=value`` options.
+
+    Keys are the command's option names (dashes or underscores alike); the
+    parser checks the values exactly as it checks the flags.
+    """
+    known = set(vars(args)) - {"command", "func"}
+    options = []
+    with open(args.config, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -61,34 +68,11 @@ def _read_config(path):
             if "=" not in line:
                 raise UsageError(f"bad config line {raw.rstrip()!r}")
             k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
-    return out
-
-
-def _apply_config(args, argv):
-    """Config file fills any option the command line left at its default."""
-    if not getattr(args, "config", None):
-        return args
-    cfg = _read_config(args.config)
-    given = {a.split("=")[0].lstrip("-").replace("-", "_")
-             for a in argv if a.startswith("--")}
-    for key, val in cfg.items():
-        if not hasattr(args, key):
-            raise UsageError(f"unknown config key {key!r}")
-        if key in given:
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, val.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int):
-            setattr(args, key, int(val))
-        elif isinstance(current, float):
-            setattr(args, key, float(val))
-        elif isinstance(current, list):
-            setattr(args, key, _int_list(val))
-        else:
-            setattr(args, key, val)
-    return args
+            key = k.strip().replace("-", "_")
+            if key not in known:
+                raise UsageError(f"unknown config key {key!r}")
+            options.append(f"--{key.replace('_', '-')}={v.strip()}")
+    return options
 
 
 def _write_text(path, text: str) -> None:
@@ -367,15 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # config options go right after the command, so typed flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_options(args) + argv[at:])
+        return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_USAGE
-    try:
-        args = _apply_config(args, argv)
-        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -48,6 +48,8 @@ def _block_lines(a: np.ndarray) -> list:
 def _parse_header(lines) -> tuple:
     if not lines or lines[0].strip() != MAGIC:
         raise FileFormatError(f"missing '{MAGIC}' header line")
+    if len(lines) < 2:
+        raise FileFormatError("missing grid line")
     parts = lines[1].split()
     try:
         if parts[0] == "cart" and len(parts) == 3:

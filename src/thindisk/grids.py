@@ -2,7 +2,8 @@
 
 Both grids are immutable after construction (arrays are marked read-only),
 so they can be shared freely between kernel tables, density fields and
-solvers without copying.
+solvers without copying.  They compare and hash by their defining
+parameters only: (half_width, n) and (outer_radius, n, beta0).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CartesianGrid:
     """Square grid of n x n cells covering [-half_width, half_width]^2.
 
@@ -27,16 +28,9 @@ class CartesianGrid:
 
     half_width: float
     n: int
-    dx: float
-    x_edges: np.ndarray = field(repr=False)
-    x_centers: np.ndarray = field(repr=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, CartesianGrid)
-                and self.half_width == other.half_width and self.n == other.n)
-
-    def __hash__(self):
-        return hash(("cartesian", self.half_width, self.n))
+    dx: float = field(compare=False)
+    x_edges: np.ndarray = field(repr=False, compare=False)
+    x_centers: np.ndarray = field(repr=False, compare=False)
 
     # y discretization is identical to x on this square grid
     @property
@@ -60,7 +54,7 @@ class CartesianGrid:
         return np.meshgrid(self.x_centers, self.y_centers, indexing="ij")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PolarGrid:
     """Logarithmic-radial, uniform-azimuthal grid on the disk of radius M.
 
@@ -77,20 +71,12 @@ class PolarGrid:
     outer_radius: float
     n: int
     beta0: float
-    ratio: float
-    dtheta: float
-    r_edges: np.ndarray = field(repr=False)
-    r_centers: np.ndarray = field(repr=False)
-    theta_edges: np.ndarray = field(repr=False)
-    theta_centers: np.ndarray = field(repr=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, PolarGrid)
-                and self.outer_radius == other.outer_radius and self.n == other.n
-                and self.beta0 == other.beta0)
-
-    def __hash__(self):
-        return hash(("polar", self.outer_radius, self.n, self.beta0))
+    ratio: float = field(compare=False)
+    dtheta: float = field(compare=False)
+    r_edges: np.ndarray = field(repr=False, compare=False)
+    r_centers: np.ndarray = field(repr=False, compare=False)
+    theta_edges: np.ndarray = field(repr=False, compare=False)
+    theta_centers: np.ndarray = field(repr=False, compare=False)
 
     @property
     def coords(self) -> str:

@@ -127,6 +127,24 @@ class TestRestriction:
         np.testing.assert_allclose(c.comp_u, 2 * Xc - Yc, atol=1e-13)
         np.testing.assert_allclose(c.comp_v, Xc + 3 * Yc, atol=1e-13)
 
+    @pytest.mark.parametrize("truth_n,n", [(64, 64), (96, 32), (64, 128)])
+    def test_self_convergence_rejects_truth_before_solving(self, monkeypatch, capsys,
+                                                           truth_n, n):
+        from thindisk import LogSpiralDisk, analysis
+        from thindisk.analysis import restrict_closest4
+        from thindisk.cli import main
+        zeros = np.zeros((truth_n, truth_n))
+        with pytest.raises(ValueError) as want:
+            restrict_closest4(_field(build_cartesian_grid(1.0, truth_n), zeros, zeros), n)
+        monkeypatch.setattr(analysis, "_proposed_cartesian",
+                            lambda *a: pytest.fail("solved before the check"))
+        with pytest.raises(ValueError) as got:
+            analysis.run_self_convergence(LogSpiralDisk(), [n], truth_n)
+        assert str(got.value) == str(want.value)
+        assert main(["converge", "--model", "log-spiral", "--truth-N", str(truth_n),
+                     "--N", str(n)]) == 1
+        assert capsys.readouterr().err == f"error: {want.value}\n"
+
 
 class TestSingularStudy:
     def test_rows_and_monotone_decay(self):

@@ -32,8 +32,9 @@ class TestComplexGamma:
             assert abs(lhs - rhs) / abs(rhs) < 1e-10
 
     def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            complex_gamma(-2.0)
+        for z in (0.0, -1.0, -2.0, -7.0, [1.5, -3.0]):
+            with pytest.raises(ValueError):
+                complex_gamma(z)
 
 
 class TestTransferKernel:
@@ -62,6 +63,16 @@ class TestTransferKernel:
                             - loggamma((1.5 + ia) / 2) - loggamma((1.5 - ia) / 2)).real
         np.testing.assert_allclose(spectral_transfer_kernel(a, 0), want, rtol=1e-10)
 
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    def test_matches_mpmath_oracle(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        alphas = [0.0, 0.5, 3.0, 40.0, 60.0]
+        with mpmath.workdps(40):
+            want = [float(abs(mpmath.gamma((m + 0.5 + 1j * a) / 2)
+                              / mpmath.gamma((m + 1.5 + 1j * a) / 2)) ** 2 / 2)
+                    for a in alphas]
+        np.testing.assert_allclose(spectral_transfer_kernel(alphas, m), want, rtol=1e-12)
+
     def test_negative_mode_rejected(self):
         with pytest.raises(ValueError):
             spectral_transfer_kernel(0.0, -1)
@@ -69,6 +80,10 @@ class TestTransferKernel:
     def test_extreme_alpha_raises_range_error(self):
         with pytest.raises(OverflowError):
             spectral_transfer_kernel(1e300, 0)
+        with pytest.raises(OverflowError):
+            spectral_transfer_kernel(0.0, 2e12)
+        with pytest.raises(OverflowError):   # the non-finite guard
+            spectral_transfer_kernel([0.0, np.nan], 0)
         # large but representable arguments still work
         assert spectral_transfer_kernel(1e6, 0) > 0
 
@@ -79,6 +94,24 @@ class TestSoftening:
         z = np.zeros((16, 16))
         out = solve_softened_cartesian(DensityField(grid, z, z.copy(), z.copy()))
         assert np.abs(out.comp_u).max() == 0.0
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_forces_difference_the_potential(self, n):
+        # centered differences inside, second-order one-sided at the edges
+        grid = build_cartesian_grid(1.0, n)
+        field = sample_density(D2Disk(alpha=0.6), grid)
+        phi, h = softened_potential(field), grid.dx
+
+        def minus_d0(p):
+            out = np.empty_like(p)
+            out[1:-1] = p[2:] - p[:-2]
+            out[0] = -3 * p[0] + 4 * p[1] - p[2]
+            out[-1] = 3 * p[-1] - 4 * p[-2] + p[-3]
+            return -out / (2 * h)
+
+        force = solve_softened_cartesian(field)
+        for got, want in ((force.comp_u, minus_d0(phi)), (force.comp_v, minus_d0(phi.T).T)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     def test_d2_regression(self):
         grid = build_cartesian_grid(1.0, 32)

@@ -128,11 +128,15 @@ class TestSolve:
         lines = dens.read_text().splitlines()
         lines[2 + 3] = ",".join(lines[2 + 3].split(",")[:-1] + ["abc"])
         dens.write_text("\n".join(lines) + "\n")
-        code = main(["solve", "--input", str(dens), "--out", str(tmp_path / "f.txt")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "row 3 of density" in err and "'abc'" in err
-        assert not (tmp_path / "f.txt").exists()
+        header_only = tmp_path / "h.txt"
+        header_only.write_text("thindisk v1\n")
+        for path, msgs in ((dens, ("row 3 of density", "'abc'")),
+                           (header_only, ("missing grid line",))):
+            code = main(["solve", "--input", str(path), "--out", str(tmp_path / "f.txt")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and all(m in err for m in msgs)
+            assert not (tmp_path / "f.txt").exists()
 
     def test_usage_error(self):
         assert main(["solve", "--coords", "spherical"]) == 1
@@ -173,10 +177,29 @@ class TestConfigFile:
         assert code == 0
         assert ConvergenceReport.from_csv(out.read_text()).n_values == [8]
 
-    def test_unknown_key(self, tmp_path):
+    @pytest.mark.parametrize("key", ["frobnicate", "func", "command"])
+    def test_unknown_key(self, tmp_path, capsys, key):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("frobnicate = 3\n")
+        cfg.write_text(f"{key} = 3\n")
         assert main(["converge", "--config", str(cfg), "--threads", "1"]) == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["coords = spherical", "method = bogus", "epsilon = abc"])
+    def test_bad_value_exits_1(self, tmp_path, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "f.txt"
+        assert main(["solve", "--config", str(cfg), "--N", "8", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("row_convention = reference\nN = 8\n")
+        out = tmp_path / "r.csv"
+        assert main(["converge", "--config", str(cfg), "--row", "plain",
+                     "--out", str(out)]) == 0
+        rep = ConvergenceReport.from_csv(out.read_text())
+        assert rep.n_values == [8] and rep.metadata["row_convention"] == "plain"
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THINDISK_THREADS", "2")
@@ -272,6 +295,12 @@ _OPTIONS = {
 }
 
 
+def _subparsers():
+    import argparse
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 class TestContract:
     def test_public_names_resolve(self):
         import thindisk
@@ -283,12 +312,16 @@ class TestContract:
         assert thindisk.__all__ == _PUBLIC_NAMES
 
     def test_cli_options_pinned(self):
-        import argparse
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
         got = {name: [o for a in sp._actions for o in a.option_strings]
-               for name, sp in sub.choices.items()}
+               for name, sp in _subparsers().items()}
         assert got == _OPTIONS
+
+    def test_option_dests_map_to_flags(self):
+        # config keys are dests; the config file turns each into this flag
+        for sp in _subparsers().values():
+            for a in sp._actions:
+                if a.dest != "help":
+                    assert "--" + a.dest.replace("_", "-") in a.option_strings
 
     @pytest.mark.parametrize("argv", [["solve"], ["converge"], ["bench"],
                                       ["kernels", "--out", "k.npz"], ["kalnajs"]])

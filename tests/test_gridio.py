@@ -67,9 +67,12 @@ class TestDensityFiles:
 
     def test_bad_grid_line(self, tmp_path):
         p = tmp_path / "bad.txt"
-        p.write_text("thindisk v1\nspherical 4 1\n1,2,3,4\n")
-        with pytest.raises(FileFormatError):
-            read_density(p)
+        for text in ("thindisk v1\nspherical 4 1\n1,2,3,4\n", "thindisk v1\n"):
+            p.write_text(text)
+            with pytest.raises(FileFormatError):
+                read_density(p)
+            with pytest.raises(FileFormatError):
+                read_force(p)
 
     def test_truncated_block(self, tmp_path):
         p = tmp_path / "bad.txt"

@@ -103,3 +103,24 @@ def _shared_grid():
     if "g" not in _GRID_CACHE:
         _GRID_CACHE["g"] = build_polar_grid(1.0, 128, 0.99)
     return _GRID_CACHE["g"]
+
+
+class TestGridEquality:
+    def test_equal_grids_compare_and_hash_equal(self):
+        for build, args in ((build_cartesian_grid, (1.0, 16)),
+                            (build_polar_grid, (1.0, 16, 0.99))):
+            a, b = build(*args), build(*args)
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("other", [(2.0, 16), (1.0, 17)])
+    def test_cartesian_parameters_distinguish(self, other):
+        assert build_cartesian_grid(1.0, 16) != build_cartesian_grid(*other)
+
+    @pytest.mark.parametrize("other", [(2.0, 16, 0.99), (1.0, 17, 0.99), (1.0, 16, 0.98)])
+    def test_polar_parameters_distinguish(self, other):
+        assert build_polar_grid(1.0, 16, 0.99) != build_polar_grid(*other)
+
+    def test_cartesian_never_equals_polar(self):
+        cart, polar = build_cartesian_grid(1.0, 16), build_polar_grid(1.0, 16, 0.99)
+        assert cart != polar and polar != cart
