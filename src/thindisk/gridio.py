@@ -10,7 +10,9 @@ Field files are a versioned text contract:
 Rows iterate the second grid index (y or theta); values within a row
 iterate the first (x or r).  Numbers carry 17 significant digits so a
 write/read round trip is bit exact.  Force files use the same header with
-two back-to-back component blocks and no sentinel.
+two back-to-back component blocks and no sentinel.  Blocks are parsed by
+numpy's C parser, which reads the same bits as ``float()`` but rejects digits
+grouped by underscores (``1_0``) and non-ASCII digits; ``#`` starts no comment.
 """
 from __future__ import annotations
 
@@ -39,10 +41,11 @@ def _grid_header(grid) -> str:
     return f"polar {grid.n} {_fmt(grid.outer_radius)} {_fmt(grid.beta0)}"
 
 
-def _block_lines(a: np.ndarray) -> list:
-    # rows iterate axis 1 (y/theta), values within a row iterate axis 0
-    fmt = "{:.17g}".format
-    return [",".join(map(fmt, row)) for row in a.T.tolist()]
+def _block_text(a: np.ndarray) -> str:
+    # rows iterate axis 1 (y/theta), values within a row iterate axis 0; one
+    # %-format prints each value exactly as f"{v:.17g}" does
+    fmt = "\n".join([",".join(["%.17g"] * a.shape[0])] * a.shape[1])
+    return fmt % tuple(a.T.ravel().tolist())
 
 
 def _parse_header(lines) -> tuple:
@@ -68,15 +71,26 @@ def _parse_header(lines) -> tuple:
 def _read_block(lines, n, what) -> tuple:
     if len(lines) < n:
         raise FileFormatError(f"truncated file: expected {n} rows of {what}")
-    out = np.empty((n, n))
-    for j in range(n):
-        vals = lines[j].split(",")
-        if len(vals) != n:
-            raise FileFormatError(f"row {j} of {what} has {len(vals)} values, expected {n}")
-        try:
-            out[:, j] = [float(v) for v in vals]
-        except ValueError as exc:
-            raise FileFormatError(f"row {j} of {what} holds a non-numeric value ({exc})") from None
+    try:    # numpy's C parser: the same bits as float() on every value it accepts
+        rows = np.loadtxt(lines[:n], delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (n, n):
+        for j, line in enumerate(lines[:n]):    # only to name the rejected row
+            vals = line.split(",")
+            if len(vals) != n:
+                raise FileFormatError(f"row {j} of {what} has {len(vals)} values, expected {n}")
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError:
+                for v in vals:    # float() first: loadtxt skips an empty token's line
+                    try:
+                        float(v)
+                        np.loadtxt([v], delimiter=",", comments=None)
+                    except ValueError:
+                        raise FileFormatError(f"row {j} of {what} holds a non-numeric value "
+                                              f"(could not convert string to float: {v!r})") from None
+    out = rows.T.copy()
     bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
     if bad.size:
         raise FileFormatError(f"row {bad[0]} of {what} holds a non-finite value")
@@ -85,11 +99,11 @@ def _read_block(lines, n, what) -> tuple:
 
 def write_density(path, field: DensityField, include_slopes: bool = True) -> None:
     lines = [MAGIC, _grid_header(field.grid)]
-    lines.extend(_block_lines(field.values))
+    lines.append(_block_text(field.values))
     if include_slopes:
         lines.append("slopes")
-        lines.extend(_block_lines(field.slope_u))
-        lines.extend(_block_lines(field.slope_v))
+        lines.append(_block_text(field.slope_u))
+        lines.append(_block_text(field.slope_v))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -129,8 +143,8 @@ def read_density(path) -> DensityField:
 
 def write_force(path, force: ForceField) -> None:
     lines = [MAGIC, _grid_header(force.grid)]
-    lines.extend(_block_lines(force.comp_u))
-    lines.extend(_block_lines(force.comp_v))
+    lines.append(_block_text(force.comp_u))
+    lines.append(_block_text(force.comp_v))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

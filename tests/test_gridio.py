@@ -26,6 +26,21 @@ class TestDensityFiles:
         np.testing.assert_array_equal(back.values, field.values)
         np.testing.assert_array_equal(back.slope_u, field.slope_u)
         np.testing.assert_array_equal(back.slope_v, field.slope_v)
+        # the solver gets blocks in the layout the samplers produce
+        assert all(a.flags.c_contiguous for a in (back.values, back.slope_u, back.slope_v))
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        grid = build_cartesian_grid(1.0, 4)
+        field = sample_density(D2Disk(), grid)
+        p = tmp_path / "d.txt"
+        write_density(p, field)
+        lines = p.read_text().splitlines()
+        p.write_text("\n\n".join(lines[:4]) + "\n   \n" + "\n".join(lines[4:9])
+                     + "\n\t\n" + "\n".join(lines[9:]) + "\n\n")
+        back = read_density(p)
+        np.testing.assert_array_equal(back.values, field.values)
+        np.testing.assert_array_equal(back.slope_u, field.slope_u)
+        np.testing.assert_array_equal(back.slope_v, field.slope_v)
 
     def test_polar_round_trip(self, tmp_path):
         grid = build_polar_grid(1.0, 16, 0.97)
@@ -92,22 +107,29 @@ class TestDensityFiles:
         with pytest.raises(FileFormatError, match="row 1 of x-slopes"):
             read_density(p)
 
-    def test_non_numeric_token_names_block_and_row(self, tmp_path):
+    # "4#x" is not a comment: a reader that strips "#..." would accept the row.
+    # "1_0" is a token float() accepts and the block parser rejects.
+    @pytest.mark.parametrize("bad", ["abc", "4#x", "1_0", ""])
+    def test_non_numeric_token_names_block_and_row(self, tmp_path, bad):
         grid = build_cartesian_grid(1.0, 4)
         p = tmp_path / "d.txt"
         write_density(p, sample_density(D2Disk(), grid), include_slopes=False)
         lines = p.read_text().splitlines()
-        lines[4] = ",".join(["abc"] + lines[4].split(",")[1:])
+        lines[4] = ",".join(lines[4].split(",")[:-1] + [bad])
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FileFormatError, match="row 2 of density .*'abc'"):
+        with pytest.raises(FileFormatError, match=f"^row 2 of density holds a non-numeric value "
+                                                  f"\\(could not convert string to float: '{bad}'\\)$"):
             read_density(p)
 
     def test_wrong_row_width(self, tmp_path):
         p = tmp_path / "bad.txt"
-        rows = "\n".join("1,2,3" for _ in range(4))
-        p.write_text(f"thindisk v1\ncart 4 1\n{rows}\n")
-        with pytest.raises(FileFormatError):
-            read_density(p)
+        # every row short, then one short row in the middle of the block
+        for short, named in ((range(4), 0), ((2,), 2)):
+            rows = "\n".join("1,2,3" if j in short else "1,2,3,4" for j in range(4))
+            p.write_text(f"thindisk v1\ncart 4 1\n{rows}\n")
+            with pytest.raises(FileFormatError,
+                               match=f"^row {named} of density has 3 values, expected 4$"):
+                read_density(p)
 
 
 class TestForceFiles:
@@ -122,32 +144,45 @@ class TestForceFiles:
         assert back.grid == grid
         np.testing.assert_array_equal(back.comp_u, force.comp_u)
         np.testing.assert_array_equal(back.comp_v, force.comp_v)
+        assert back.comp_u.flags.c_contiguous and back.comp_v.flags.c_contiguous
 
 
     def test_writers_match_the_per_value_formatter(self, tmp_path):
-        # field files are a byte contract: the row writer must print exactly
+        # field files are a byte contract: the block writer must print exactly
         # what formatting each value on its own with .17g prints
         special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.5e-310, 1e300, -1e300,
                    3.0, -7.0, 2.0 ** 53, 1e16, 0.1, -1.0 / 3.0, 123456789.0, -2.5e-5, 1.0]
-        grid = build_cartesian_grid(1.0, 4)
-        blocks = [np.reshape(special, (4, 4)), np.reshape(special[::-1], (4, 4)),
-                  np.reshape(special, (4, 4)).T.copy()]
+        small = [np.reshape(special, (4, 4)), np.reshape(special[::-1], (4, 4)),
+                 np.reshape(special, (4, 4)).T.copy()]
+        rng = np.random.default_rng(7)
+        big = rng.standard_normal((3, 64, 64)) * 10.0 ** rng.integers(-300, 301, (3, 64, 64))
+        for b in big:
+            b.flat[rng.choice(b.size, len(special), replace=False)] = special
+        cases = [(build_cartesian_grid(1.0, 4), "cart 4 1", small),
+                 (build_cartesian_grid(1.0, 64), "cart 64 1", list(big)),
+                 (build_polar_grid(2.5, 64, 0.97), "polar 64 2.5 0.96999999999999997", list(big))]
 
         def per_value(a):
             return "".join(",".join(f"{v:.17g}" for v in a[:, j]) + "\n"
                            for j in range(a.shape[1]))
 
-        head = "thindisk v1\ncart 4 1\n"
-        write_force(tmp_path / "f.txt", ForceField(grid, blocks[0], blocks[1]))
-        assert (tmp_path / "f.txt").read_bytes() == \
-            (head + per_value(blocks[0]) + per_value(blocks[1])).encode()
-        write_density(tmp_path / "d.txt", DensityField(grid, *blocks))
-        assert (tmp_path / "d.txt").read_bytes() == (head + per_value(blocks[0]) + "slopes\n"
-                                                     + per_value(blocks[1])
-                                                     + per_value(blocks[2])).encode()
-        back = read_density(tmp_path / "d.txt")
-        for got, a in zip((back.values, back.slope_u, back.slope_v), blocks):
-            assert np.array_equal(np.signbit(got), np.signbit(a)) and np.array_equal(got, a)
+        for grid, grid_line, blocks in cases:
+            head = f"thindisk v1\n{grid_line}\n"
+            # force files may carry what a reader rejects: inf and nan print as .17g does
+            comp_v = blocks[1].copy()
+            comp_v.flat[:3] = [np.inf, -np.inf, np.nan]
+            write_force(tmp_path / "f.txt", ForceField(grid, blocks[0], comp_v))
+            assert (tmp_path / "f.txt").read_bytes() == \
+                (head + per_value(blocks[0]) + per_value(comp_v)).encode()
+            hole = {} if grid.coords == "cartesian" else dict.fromkeys(
+                ("hole_values", "hole_slope_u", "hole_slope_v"), blocks[0][0])
+            write_density(tmp_path / "d.txt", DensityField(grid, *blocks, **hole))
+            assert (tmp_path / "d.txt").read_bytes() == (head + per_value(blocks[0]) + "slopes\n"
+                                                         + per_value(blocks[1])
+                                                         + per_value(blocks[2])).encode()
+            back = read_density(tmp_path / "d.txt")
+            for got, a in zip((back.values, back.slope_u, back.slope_v), blocks):
+                assert np.array_equal(np.signbit(got), np.signbit(a)) and np.array_equal(got, a)
 
     def test_non_finite_component_rejected(self, tmp_path):
         grid = build_cartesian_grid(1.0, 4)
