@@ -11,7 +11,6 @@ compares.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,37 @@ from .kernels_cartesian import tabulate_cartesian_kernels
 from .kernels_polar import tabulate_polar_kernels
 from .models import DensityField, sample_density
 from .solver import ForceField, solve_cartesian, solve_polar
+
+
+def csv_text(header, rows) -> str:
+    """CSV lines: floats as %.17g (a bit-exact round trip), None as an empty field."""
+    def cell(v):
+        if v is None:
+            return ""
+        return f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+def tabulate_kernels(grid):
+    """The force kernel tables for the grid's geometry."""
+    if grid.coords == "cartesian":
+        return tabulate_cartesian_kernels(grid)
+    return tabulate_polar_kernels(grid)
+
+
+def solve_field(field: DensityField, method: str = "proposed", tables=None,
+                epsilon: float | None = None) -> ForceField:
+    """The attractive force of ``field`` by "proposed" (tabulating kernels
+    only when ``tables`` is None) or "softening" (``epsilon`` defaults to one
+    cell; baselines rejects polar grids)."""
+    if method == "softening":
+        return solve_softened_cartesian(
+            field, None if epsilon is None else SofteningConfig(epsilon))
+    if method != "proposed":
+        raise ValueError(f"unknown method {method!r}")
+    tables = tabulate_kernels(field.grid) if tables is None else tables
+    solve = solve_cartesian if field.grid.coords == "cartesian" else solve_polar
+    return solve(field, tables)
 
 
 def array_norms(diff: np.ndarray, grid: CartesianGrid | PolarGrid):
@@ -135,27 +165,16 @@ class ConvergenceReport:
         return out
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# method = {self.method}\n")
-        buf.write(f"# model = {self.model}\n")
-        buf.write(f"# coords = {self.coords}\n")
-        for k in sorted(self.metadata):
-            buf.write(f"# {k} = {self.metadata[k]}\n")
+        meta = [("method", self.method), ("model", self.model), ("coords", self.coords),
+                *sorted(self.metadata.items())]
         cols = ["N"]
         for c in self.components:
             cols += [f"{c}_E1", f"{c}_E2", f"{c}_Einf", f"{c}_O1", f"{c}_O2", f"{c}_Oinf"]
-        buf.write(",".join(cols) + "\n")
         ords = {c: [self.orders(c, p) for p in (1, 2, 3)] for c in self.components}
-        for i, n in enumerate(self.n_values):
-            row = [str(n)]
-            for c in self.components:
-                e1, e2, ei = self.norms[c][i]
-                row += [f"{e1:.17g}", f"{e2:.17g}", f"{ei:.17g}"]
-                for p in range(3):
-                    o = ords[c][p][i]
-                    row.append("" if o is None else f"{o:.17g}")
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        rows = [[n] + [v for c in self.components
+                       for v in (*self.norms[c][i], *(o[i] for o in ords[c]))]
+                for i, n in enumerate(self.n_values)]
+        return "".join(f"# {k} = {v}\n" for k, v in meta) + csv_text(cols, rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "ConvergenceReport":
@@ -187,13 +206,6 @@ class ConvergenceReport:
         coords = meta.pop("coords", "")
         return cls(method=method, model=model, coords=coords, components=comps,
                    n_values=n_values, norms=norms, metadata=meta)
-
-
-def _proposed_cartesian(model, n, half_width, slope_mode):
-    grid = build_cartesian_grid(half_width, n)
-    fld = sample_density(model, grid, slopes=slope_mode)
-    tables = tabulate_cartesian_kernels(grid)
-    return grid, solve_cartesian(fld, tables)
 
 
 def _analytic_force(model, grid) -> ForceField:
@@ -232,21 +244,10 @@ def run_convergence(model, n_values, coords="cartesian", method="proposed",
     norms = {c: [] for c in components}
     for n in n_values:
         if coords == "cartesian":
-            n_solve = 2 * n if row_convention == "reference" else n
-            if method == "proposed":
-                grid, num = _proposed_cartesian(model, n_solve, half_width, slope_mode)
-            elif method == "softening":
-                grid = build_cartesian_grid(half_width, n_solve)
-                fld = sample_density(model, grid, slopes=slope_mode)
-                num = solve_softened_cartesian(fld, SofteningConfig(grid.dx))
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            grid = build_cartesian_grid(half_width, 2 * n if row_convention == "reference" else n)
         else:
-            if method != "proposed":
-                raise ValueError("polar sweeps support the proposed method only")
             grid = build_polar_grid(half_width, n, beta0)
-            fld = sample_density(model, grid, slopes=slope_mode)
-            num = solve_polar(fld, tabulate_polar_kernels(grid))
+        num = solve_field(sample_density(model, grid, slopes=slope_mode), method)
         res = error_norms(num, _analytic_force(model, grid), grid)
         for c in components:
             e1, e2, ei = res[c]
@@ -270,13 +271,16 @@ def run_self_convergence(model, n_values, truth_n, half_width=1.0,
     """
     for n in n_values:
         _restriction_factor(truth_n, n)
-    _, truth = _proposed_cartesian(model, truth_n, half_width, slope_mode)
+
+    def solve(n):
+        return solve_field(sample_density(model, build_cartesian_grid(half_width, n),
+                                          slopes=slope_mode))
+
+    truth = solve(truth_n)
     components = ["x", "y", "R"]
     norms = {c: [] for c in components}
     for n in n_values:
-        grid, num = _proposed_cartesian(model, n, half_width, slope_mode)
-        ref = restrict_closest4(truth, n)
-        res = error_norms(num, ref, grid)
+        res = error_norms(solve(n), restrict_closest4(truth, n))
         for c in components:
             norms[c].append(res[c])
     return ConvergenceReport(
@@ -304,7 +308,8 @@ def singular_trapezoid_study(k_values) -> list:
 
     For each k, integrates log(1 - cos(theta)) exactly over
     [-2**-k, 2**-k] and subtracts the single-interval trapezoid value;
-    returns rows (k, E_k, order), order None on the first row.
+    returns rows (k, E_k, order), order None on the first row.  Beyond
+    k = 26 the integrand's 1 - cos rounds to 0: FloatingPointError.
     """
     k_values = list(k_values)
     if any(k < 2 for k in k_values):
@@ -313,8 +318,12 @@ def singular_trapezoid_study(k_values) -> list:
     prev = None
     for k in k_values:
         a = 2.0 ** (-k)
+        gap = 1.0 - np.cos(a)
+        if gap == 0.0:
+            raise FloatingPointError(f"1 - cos(2**-{k}) rounds to 0 in double precision "
+                                     "(k must be at most 26)")
         exact = _exact_log_integral(a)
-        trap = 2.0 * a * np.log(1.0 - np.cos(a))
+        trap = 2.0 * a * np.log(gap)
         err = abs(exact - trap)
         order = None if prev is None else order_of_accuracy(prev, err)
         rows.append((k, err, order))

@@ -124,11 +124,12 @@ def solve_softened_cartesian(field: DensityField, cfg: SofteningConfig | None = 
     limits this method to first order.  Default softening is one cell, eps = dx.
     """
     grid = field.grid
-    # second-order centered differences, one-sided at the boundary rows
-    fx, fy = np.gradient(-softened_potential(field, cfg, method=method), grid.dx,
-                         edge_order=2)
-    return ForceField(grid, fx, fy, slope_source=field.slope_source).as_convention(
-        sign_convention)
+    with np.errstate(over="ignore", invalid="ignore"):    # require_finite reports these
+        # second-order centered differences, one-sided at the boundary rows
+        fx, fy = np.gradient(-softened_potential(field, cfg, method=method), grid.dx,
+                             edge_order=2)
+    force = ForceField(grid, fx, fy, slope_source=field.slope_source)
+    return force.require_finite().as_convention(sign_convention)
 
 
 def kalnajs_potential_axisym(sigma_of_r, radii, cfg: KalnajsConfig | None = None) -> np.ndarray:

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, gridio
-from .baselines import KalnajsConfig, SofteningConfig, kalnajs_potential_axisym, \
-    solve_softened_cartesian
+from .analysis import csv_text, solve_field, tabulate_kernels
+from .baselines import KalnajsConfig, kalnajs_potential_axisym
 from .grids import build_cartesian_grid, build_polar_grid
-from .kernels_cartesian import KINDS as CARTESIAN_KINDS, tabulate_cartesian_kernels
-from .kernels_polar import KINDS as POLAR_KINDS, SingularEvaluationError, \
-    tabulate_polar_kernels
+from .kernels_cartesian import KINDS as CARTESIAN_KINDS
+from .kernels_polar import KINDS as POLAR_KINDS, SingularEvaluationError
 from .models import D2Disk, D2PairDisk, LogSpiralDisk, sample_density
-from .solver import solve_cartesian, solve_cartesian_direct, solve_polar
+from .solver import solve_cartesian_direct
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -91,12 +90,6 @@ def _build_grid(args):
     return build_polar_grid(args.M, args.N, args.beta0)
 
 
-def _tabulate(grid):
-    if grid.coords == "cartesian":
-        return tabulate_cartesian_kernels(grid)
-    return tabulate_polar_kernels(grid)
-
-
 def _build_field(args):
     """Grid + density field from either a model or an input file."""
     if args.input:
@@ -109,29 +102,21 @@ def _build_field(args):
 
 def cmd_solve(args) -> int:
     grid, field, model = _build_field(args)
-    if args.method == "softening":
-        if grid.coords != "cartesian":
-            raise UsageError("softening runs on Cartesian grids only")
-        cfg = SofteningConfig(args.epsilon if args.epsilon else grid.dx)
-        force = solve_softened_cartesian(field, cfg, sign_convention=args.sign)
-    else:
-        if args.kernel_cache and os.path.exists(args.kernel_cache):
+    tables = None
+    if args.method == "proposed" and args.kernel_cache:
+        if os.path.exists(args.kernel_cache):
             tables = gridio.load_kernel_tables(args.kernel_cache, grid)
         else:
-            tables = _tabulate(grid)
-            if args.kernel_cache:
-                gridio.save_kernel_tables(args.kernel_cache, tables)
-        solve = solve_cartesian if grid.coords == "cartesian" else solve_polar
-        force = solve(field, tables, sign_convention=args.sign)
+            tables = tabulate_kernels(grid)
+            gridio.save_kernel_tables(args.kernel_cache, tables)
+    force = solve_field(field, args.method, tables, args.epsilon or None).as_convention(args.sign)
 
     out = args.out or "force.txt"
     gridio.write_force(out, force)
     print(f"wrote {out}")
 
     if model is not None and hasattr(model, "force_xy"):
-        exact = analysis._analytic_force(model, grid)
-        if args.sign == "repulsive":
-            exact = exact.flipped()
+        exact = analysis._analytic_force(model, grid).as_convention(args.sign)
         for comp, (e1, e2, ei) in analysis.error_norms(force, exact, grid).items():
             print(f"F_{comp}: L1={e1:.4e}  L2={e2:.4e}  Linf={ei:.4e}")
     return 0
@@ -177,33 +162,26 @@ def run_bench(n_values, repeats=3, direct_n=(), half_width=1.0):
     for n in n_values:
         grid = build_cartesian_grid(half_width, n)
         field = sample_density(model, grid)
-        # untimed warmup: fft twiddle caches and allocator pools are per-size
-        solve_cartesian(field, tabulate_cartesian_kernels(grid))
-        t_kernel = _timeit(lambda: tabulate_cartesian_kernels(grid), repeats)
-        tables = tabulate_cartesian_kernels(grid)
-        for kind in CARTESIAN_KINDS:
-            tables.spectrum(kind)
-
-        t_force = _timeit(lambda: solve_cartesian(field, tables), repeats)
-
-        def whole():
-            tb = tabulate_cartesian_kernels(grid)
-            return solve_cartesian(field, tb)
-
-        t_whole = _timeit(whole, repeats)
+        tables = tabulate_kernels(grid)
+        # untimed warmup: fft twiddle caches and allocator pools are per-size,
+        # and the solve leaves every kernel spectrum cached in ``tables``
+        solve_field(field, tables=tables)
+        t_kernel = _timeit(lambda: tabulate_kernels(grid), repeats)
+        t_force = _timeit(lambda: solve_field(field, tables=tables), repeats)
+        t_whole = _timeit(lambda: solve_field(field), repeats)
         records += [TimingRecord("kernel", "proposed", n, t_kernel, repeats),
                     TimingRecord("force", "proposed", n, t_force, repeats),
                     TimingRecord("whole", "proposed", n, t_whole, repeats)]
 
-        t_soft = _timeit(lambda: solve_softened_cartesian(field), repeats)
+        t_soft = _timeit(lambda: solve_field(field, "softening"), repeats)
         records.append(TimingRecord("whole", "softening", n, t_soft, repeats))
 
     for n in direct_n:
         grid = build_cartesian_grid(half_width, n)
         field = sample_density(model, grid)
-        tables = tabulate_cartesian_kernels(grid)
+        tables = tabulate_kernels(grid)
         solve_cartesian_direct(field, tables)   # warmup
-        t_kernel = _timeit(lambda: tabulate_cartesian_kernels(grid), repeats)
+        t_kernel = _timeit(lambda: tabulate_kernels(grid), repeats)
         t_direct = _timeit(lambda: solve_cartesian_direct(field, tables), repeats)
         records.append(TimingRecord("kernel", "direct", n, t_kernel, repeats))
         records.append(TimingRecord("force", "direct", n, t_direct, repeats))
@@ -212,10 +190,8 @@ def run_bench(n_values, repeats=3, direct_n=(), half_width=1.0):
 
 
 def bench_csv(records) -> str:
-    lines = ["method,phase,N,mean_seconds,repeats"]
-    for r in records:
-        lines.append(f"{r.method},{r.phase},{r.n},{r.mean_seconds:.17g},{r.repeats}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["method", "phase", "N", "mean_seconds", "repeats"],
+                    [(r.method, r.phase, r.n, r.mean_seconds, r.repeats) for r in records])
 
 
 def cmd_bench(args) -> int:
@@ -229,12 +205,12 @@ def cmd_bench(args) -> int:
 
 def cmd_kernels(args) -> int:
     grid = _build_grid(args)
-    tables = _tabulate(grid)
+    tables = tabulate_kernels(grid)
     gridio.save_kernel_tables(args.out, tables)
-    reloaded = gridio.load_kernel_tables(args.out, grid)
-    for kind, arr in tables.tables.items():
-        if not np.array_equal(reloaded.tables[kind], arr):
-            raise RuntimeError(f"kernel cache round trip failed for kind {kind}")
+    saved = gridio.cache_arrays(tables)
+    for key, arr in gridio.cache_arrays(gridio.load_kernel_tables(args.out, grid)).items():
+        if not np.array_equal(arr, saved[key]):
+            raise gridio.FileFormatError(f"kernel cache round trip failed for {key}")
     kinds = CARTESIAN_KINDS if grid.coords == "cartesian" else POLAR_KINDS
     print(f"wrote {args.out} ({len(kinds)} kernel kinds, n={grid.n})")
     return 0
@@ -242,10 +218,7 @@ def cmd_kernels(args) -> int:
 
 def cmd_singular_study(args) -> int:
     rows = analysis.singular_trapezoid_study(range(args.k_min, args.k_max + 1))
-    lines = ["k,E,order"]
-    for k, err, order in rows:
-        lines.append(f"{k},{err:.17g}," + ("" if order is None else f"{order:.17g}"))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, csv_text(["k", "E", "order"], rows))
     return 0
 
 
@@ -257,10 +230,7 @@ def cmd_kalnajs(args) -> int:
                         n_alpha=args.n_alpha, n_u=args.N)
     radii = np.linspace(args.r_min, args.r_max, args.points)
     phi = kalnajs_potential_axisym(lambda r: model.density(r, np.zeros_like(r)), radii, cfg)
-    lines = ["r,phi"]
-    for r, p in zip(radii, phi):
-        lines.append(f"{r:.17g},{p:.17g}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, csv_text(["r", "phi"], zip(radii, phi)))
     return 0
 
 

@@ -20,8 +20,10 @@ import zipfile
 
 import numpy as np
 
-from .grids import CartesianGrid, PolarGrid, build_cartesian_grid, build_polar_grid
-from .models import DensityField
+from .grids import build_cartesian_grid, build_polar_grid
+from .kernels_cartesian import X_KINDS, KernelTables
+from .kernels_polar import KINDS as POLAR_KINDS, PolarKernelTables
+from .models import DensityField, central_difference_slopes
 from .solver import ForceField
 
 MAGIC = "thindisk v1"
@@ -48,7 +50,18 @@ def _block_text(a: np.ndarray) -> str:
     return fmt % tuple(a.T.ravel().tolist())
 
 
-def _parse_header(lines) -> tuple:
+def _write(path, grid, blocks) -> None:
+    """A field file: the magic and grid lines, then each block (an array, or
+    a sentinel line given as a string)."""
+    text = [b if isinstance(b, str) else _block_text(b) for b in blocks]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([MAGIC, _grid_header(grid), *text]) + "\n")
+
+
+def _read(path) -> tuple:
+    """The grid of a field file and its non-blank lines after the grid line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0].strip() != MAGIC:
         raise FileFormatError(f"missing '{MAGIC}' header line")
     if len(lines) < 2:
@@ -98,14 +111,8 @@ def _read_block(lines, n, what) -> tuple:
 
 
 def write_density(path, field: DensityField, include_slopes: bool = True) -> None:
-    lines = [MAGIC, _grid_header(field.grid)]
-    lines.append(_block_text(field.values))
-    if include_slopes:
-        lines.append("slopes")
-        lines.append(_block_text(field.slope_u))
-        lines.append(_block_text(field.slope_v))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    slopes = ["slopes", field.slope_u, field.slope_v] if include_slopes else []
+    _write(path, field.grid, [field.values, *slopes])
 
 
 def read_density(path) -> DensityField:
@@ -115,9 +122,7 @@ def read_density(path) -> DensityField:
     innermost available ring (nearest-cell extrapolation), which is harmless
     because the hole's area is a vanishing fraction of the disk.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    grid, rest = _parse_header(lines)
+    grid, rest = _read(path)
     n = grid.n
     values, rest = _read_block(rest, n, "density")
     if rest and rest[0].strip() == "slopes":
@@ -125,7 +130,6 @@ def read_density(path) -> DensityField:
         slope_v, rest = _read_block(rest, n, "y-slopes")
         source = "analytic"
     elif n >= 3:
-        from .models import central_difference_slopes
         c1 = grid.x_centers if grid.coords == "cartesian" else grid.r_centers
         c2 = grid.y_centers if grid.coords == "cartesian" else grid.theta_centers
         slope_u, slope_v = central_difference_slopes(values, c1, c2)
@@ -142,17 +146,11 @@ def read_density(path) -> DensityField:
 
 
 def write_force(path, force: ForceField) -> None:
-    lines = [MAGIC, _grid_header(force.grid)]
-    lines.append(_block_text(force.comp_u))
-    lines.append(_block_text(force.comp_v))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, force.grid, [force.comp_u, force.comp_v])
 
 
 def read_force(path) -> ForceField:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    grid, rest = _parse_header(lines)
+    grid, rest = _read(path)
     comp_u, rest = _read_block(rest, grid.n, "first component")
     comp_v, rest = _read_block(rest, grid.n, "second component")
     return ForceField(grid, comp_u, comp_v)
@@ -163,24 +161,23 @@ def read_force(path) -> ForceField:
 _CACHE_VERSION = 3
 
 
+def cache_arrays(tables) -> dict:
+    """A kernel-table set's arrays under their cache keys: ``table_<kind>``
+    (Cartesian x-family quadrants or polar ring tables), ``hole_<kind>``."""
+    holes = getattr(tables, "hole_tables", {})
+    return {**{f"table_{kind}": arr for kind, arr in tables.tables.items()},
+            **{f"hole_{kind}": arr for kind, arr in holes.items()}}
+
+
 def save_kernel_tables(path, tables) -> None:
     """Uncompressed binary dump of a kernel-table set for reuse across runs,
-    keyed by the grid line of the field files: the Cartesian x-family
-    quadrants, or the polar ring and hole tables."""
-    payload = {"version": np.array(_CACHE_VERSION),
-               "grid": np.array(_grid_header(tables.grid))}
-    for kind, arr in tables.tables.items():
-        payload[f"table_{kind}"] = arr
-    for kind, arr in getattr(tables, "hole_tables", {}).items():
-        payload[f"hole_{kind}"] = arr
-    np.savez(path, **payload)
+    keyed by the grid line of the field files."""
+    np.savez(path, version=np.array(_CACHE_VERSION), grid=np.array(_grid_header(tables.grid)),
+             **cache_arrays(tables))
 
 
 def load_kernel_tables(path, grid):
     """Load a cache back; its stored grid line must equal ``grid``'s."""
-    from .kernels_cartesian import X_KINDS, KernelTables
-    from .kernels_polar import KINDS as POLAR_KINDS, PolarKernelTables
-
     try:
         with np.load(path) as data:    # an .npy file gives an array: TypeError
             arrays = {k: data[k] for k in data.files}

@@ -34,10 +34,6 @@ class CartesianGrid:
 
     # y discretization is identical to x on this square grid
     @property
-    def y_edges(self) -> np.ndarray:
-        return self.x_edges
-
-    @property
     def y_centers(self) -> np.ndarray:
         return self.x_centers
 

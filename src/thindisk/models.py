@@ -139,9 +139,6 @@ class D2PairDisk:
     def force_xy(self, x, y):
         return tuple(self._superpose(D2Disk.force_xy, x, y))
 
-    def potential_xy(self, x, y):
-        return self._superpose(lambda d, x, y: d.potential(np.hypot(x, y)), x, y)
-
 
 @dataclass(frozen=True)
 class LogSpiralDisk:

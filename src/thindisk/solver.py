@@ -59,6 +59,13 @@ class ForceField:
         return replace(self, comp_u=-self.comp_u, comp_v=-self.comp_v,
                        sign_convention=sign_convention)
 
+    def require_finite(self) -> "ForceField":
+        """This field; FloatingPointError naming a component that holds inf or nan."""
+        for name in ("comp_u", "comp_v"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise FloatingPointError(f"force component {name} holds a non-finite value")
+        return self
+
     def radial(self) -> np.ndarray:
         """Radial projection (x*Fx + y*Fy)/R on Cartesian grids; comp_u on polar."""
         if self.coords == "polar":
@@ -148,11 +155,12 @@ def _force(terms, field: DensityField, tables, backend: str,
            sign_convention: str = "attractive") -> ForceField:
     if field.grid is not tables.grid and field.grid != tables.grid:
         raise ValueError("density field and kernel tables were built on different grids")
-    u, v = assemble(terms, field, tables, backend)
+    with np.errstate(over="ignore", invalid="ignore"):    # require_finite reports these
+        u, v = assemble(terms, field, tables, backend)
     if field.grid.coords == "polar":
         u = -u      # radial family orientation: its integrand is outward-positive
-    return ForceField(field.grid, u, v, slope_source=field.slope_source).as_convention(
-        sign_convention)
+    force = ForceField(field.grid, u, v, slope_source=field.slope_source)
+    return force.require_finite().as_convention(sign_convention)
 
 
 def solve_cartesian(field: DensityField, tables: KernelTables,

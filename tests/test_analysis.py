@@ -136,14 +136,60 @@ class TestRestriction:
         zeros = np.zeros((truth_n, truth_n))
         with pytest.raises(ValueError) as want:
             restrict_closest4(_field(build_cartesian_grid(1.0, truth_n), zeros, zeros), n)
-        monkeypatch.setattr(analysis, "_proposed_cartesian",
-                            lambda *a: pytest.fail("solved before the check"))
+        monkeypatch.setattr(analysis, "solve_field",
+                            lambda *a, **k: pytest.fail("solved before the check"))
         with pytest.raises(ValueError) as got:
             analysis.run_self_convergence(LogSpiralDisk(), [n], truth_n)
         assert str(got.value) == str(want.value)
         assert main(["converge", "--model", "log-spiral", "--truth-N", str(truth_n),
                      "--N", str(n)]) == 1
         assert capsys.readouterr().err == f"error: {want.value}\n"
+
+
+class TestSolveRecipe:
+    @pytest.mark.parametrize("coords", ["cartesian", "polar"])
+    def test_proposed_matches_the_geometry_solver(self, coords, monkeypatch):
+        from thindisk import (analysis, sample_density, solve_cartesian, solve_polar,
+                              tabulate_cartesian_kernels, tabulate_polar_kernels)
+        cart = coords == "cartesian"
+        grid = build_cartesian_grid(1.0, 16) if cart else build_polar_grid(1.0, 16, 0.99)
+        field = sample_density(D2Disk(), grid)
+        tabulate = tabulate_cartesian_kernels if cart else tabulate_polar_kernels
+        want = (solve_cartesian if cart else solve_polar)(field, tabulate(grid))
+        got = analysis.solve_field(field)
+        np.testing.assert_array_equal(got.comp_u, want.comp_u)
+        np.testing.assert_array_equal(got.comp_v, want.comp_v)
+        # given tables are used as they are, with no tabulation
+        tables = tabulate(grid)
+        tables.tables[next(iter(tables.tables))][1, 1] += 1.0
+        monkeypatch.setattr(analysis, "tabulate_kernels", lambda g: pytest.fail("tabulated"))
+        assert not np.array_equal(analysis.solve_field(field, tables=tables).comp_u, want.comp_u)
+
+    def test_softening_epsilon(self):
+        from thindisk import SofteningConfig, sample_density, solve_softened_cartesian
+        from thindisk.analysis import solve_field
+        field = sample_density(D2Disk(), build_cartesian_grid(1.0, 16))
+        for eps, cfg in ((None, None), (0.05, SofteningConfig(0.05))):
+            got = solve_field(field, "softening", epsilon=eps)
+            want = solve_softened_cartesian(field, cfg)
+            np.testing.assert_array_equal(got.comp_u, want.comp_u)
+        assert not np.array_equal(got.comp_u, solve_field(field, "softening").comp_u)
+
+    def test_bad_method_or_geometry(self):
+        from thindisk import sample_density
+        from thindisk.analysis import solve_field
+        grid = build_polar_grid(1.0, 16, 0.99)
+        field = sample_density(D2Disk(), grid)
+        with pytest.raises(ValueError, match="^unknown method 'direct'$"):
+            solve_field(field, "direct")
+        with pytest.raises(ValueError, match="^softened solver runs on Cartesian grids$"):
+            solve_field(field, "softening")
+
+    def test_csv_text(self):
+        from thindisk.analysis import csv_text
+        assert csv_text(["k", "E", "order"], [(2, 0.1, None), (3, np.float64(1 / 3), -0.0)]) == (
+            "k,E,order\n2,0.10000000000000001,\n3,0.33333333333333331,-0\n")
+        assert csv_text(["a"], []) == "a\n"
 
 
 class TestSingularStudy:
@@ -171,6 +217,13 @@ class TestSingularStudy:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             singular_trapezoid_study([1, 2])
+
+    def test_beyond_k26_raises(self):
+        # 1 - cos(2**-k) rounds to 0 from k = 27 on; k = 26 is the last finite row
+        (k, err, order), = singular_trapezoid_study([26])
+        assert err == pytest.approx(4 * 2.0**-26, rel=1e-3)
+        with pytest.raises(FloatingPointError, match=r"2\*\*-27\)"):
+            singular_trapezoid_study(range(20, 31))
 
 
 class TestReportCSV:

@@ -138,6 +138,29 @@ class TestSolve:
             assert err.startswith("error:") and all(m in err for m in msgs)
             assert not (tmp_path / "f.txt").exists()
 
+    @pytest.mark.parametrize("scale,code", [(1e305, 0), (1e307, 3)])
+    def test_overflowing_density_file_exits_3(self, tmp_path, capsys, scale, code):
+        from thindisk import D2Disk, build_cartesian_grid, sample_density
+        from thindisk.gridio import write_density
+        dens, out = tmp_path / "d.txt", tmp_path / "f.txt"
+        write_density(dens, sample_density(D2Disk(), build_cartesian_grid(1.0, 16)).scaled(scale))
+        assert main(["solve", "--input", str(dens), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "numerical failure: force component comp_u holds a non-finite value\n"
+            assert not out.exists()
+        else:
+            assert err == "" and np.isfinite(read_force(out).comp_u).all()
+
+    @pytest.mark.parametrize("argv", [["solve"], ["solve", "--epsilon", "0.1"], ["converge"]])
+    def test_polar_softening_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.txt"
+        code = main(argv + ["--coords", "polar", "--method", "softening", "--N", "16",
+                            "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: softened solver runs on Cartesian grids\n"
+        assert not out.exists()
+
     def test_usage_error(self):
         assert main(["solve", "--coords", "spherical"]) == 1
         assert main(["solve", "--model", "unknown-disk", "--threads", "1"]) == 1
@@ -161,6 +184,12 @@ class TestConverge:
         rep = ConvergenceReport.from_csv(out.read_text())
         assert rep.method == "proposed-self"
 
+    def test_bad_integer_list_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["converge", "--N", "16,x", "--out", str(out)]) == 1
+        assert "'16,x'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_fills_defaults_flags_override(self, tmp_path):
@@ -176,6 +205,15 @@ class TestConfigFile:
                      "--out", str(out), "--threads", "1"])
         assert code == 0
         assert ConvergenceReport.from_csv(out.read_text()).n_values == [8]
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("# a sweep\n\n   \nN = 8,16   # two rows\n\t\n# method = proposed\n"
+                       "method = softening\n")
+        out = tmp_path / "r.csv"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = ConvergenceReport.from_csv(out.read_text())
+        assert rep.n_values == [8, 16] and rep.method == "softening"
 
     @pytest.mark.parametrize("key", ["frobnicate", "func", "command"])
     def test_unknown_key(self, tmp_path, capsys, key):
@@ -214,6 +252,33 @@ class TestOtherCommands:
                      "--threads", "1"])
         assert code == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("coords,key", [("cartesian", "table_xy"), ("polar", "hole_tt")])
+    def test_kernels_round_trip_mismatch_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                 coords, key):
+        from thindisk import gridio
+        load = gridio.load_kernel_tables
+
+        def perturbed(path, grid):
+            tables = load(path, grid)
+            kind = key.split("_", 1)[1]
+            (tables.tables if key.startswith("table_") else tables.hole_tables)[kind][1, 2] += 1.0
+            return tables
+
+        monkeypatch.setattr(gridio, "load_kernel_tables", perturbed)
+        code = main(["kernels", "--coords", coords, "--N", "8", "--out", str(tmp_path / "k.npz")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: kernel cache round trip failed for {key}\n"
+
+    def test_singular_study_beyond_k26_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["singular-study", "--k-min", "20", "--k-max", "30",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("numerical failure: 1 - cos(2**-27) rounds to 0 "
+                                           "in double precision (k must be at most 26)\n")
+        assert not out.exists()
+        assert main(["singular-study", "--k-min", "20", "--k-max", "26", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 8
 
     def test_singular_study(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -180,6 +180,28 @@ class TestSampling:
                  - spiral.density(Rg * np.cos(Tg - h), Rg * np.sin(Tg - h))) / (2 * h)
         np.testing.assert_allclose(f.slope_v, num_t, rtol=1e-5, atol=1e-6)
 
+    def test_polar_central_difference_slopes(self):
+        # differenced slopes approach the analytic ones; the hole ring keeps
+        # its own values, sampled at hole_radius_mid, and takes ring 0's slopes
+        spiral = LogSpiralDisk()
+        errs = []
+        for n in (32, 64, 128):
+            grid = build_polar_grid(1.0, n, 0.99)
+            f = sample_density(spiral, grid, slopes="central-difference")
+            exact = sample_density(spiral, grid, slopes="analytic")
+            assert f.slope_source == "central-difference"
+            errs.append([np.abs(getattr(f, s) - getattr(exact, s)).max()
+                         / np.abs(getattr(exact, s)).max() for s in ("slope_u", "slope_v")])
+            t, r0 = grid.theta_centers, grid.hole_radius_mid
+            np.testing.assert_array_equal(f.values, exact.values)
+            np.testing.assert_array_equal(f.hole_values,
+                                          spiral.density(r0 * np.cos(t), r0 * np.sin(t)))
+            np.testing.assert_array_equal(f.hole_slope_u, f.slope_u[0])
+            np.testing.assert_array_equal(f.hole_slope_v, f.slope_v[0])
+        errs = np.array(errs)
+        assert np.all(errs[1:] < errs[:-1] / 2.5)
+        assert errs[-1, 0] < 0.06 and errs[-1, 1] < 0.004
+
     @pytest.mark.parametrize("n", [16, 33])
     @pytest.mark.parametrize("model", [LogSpiralDisk(), D2PairDisk(offset=0.1)],
                              ids=lambda m: m.kind)

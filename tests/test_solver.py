@@ -366,3 +366,23 @@ class TestForceField:
         grid = build_cartesian_grid(1.0, 4)
         with pytest.raises(ValueError):
             ForceField(grid, np.zeros((4, 4)), np.zeros((4, 4)), sign_convention="up")
+
+    def test_polar_radial_is_the_first_component(self):
+        grid = build_polar_grid(1.0, 8, 0.9)
+        rng = np.random.default_rng(5)
+        force = ForceField(grid, rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
+        np.testing.assert_array_equal(force.radial(), force.comp_u)
+
+    @pytest.mark.parametrize("solve", [solve_cartesian, solve_polar, solve_softened_cartesian],
+                             ids=lambda f: f.__name__)
+    def test_overflowing_solve_raises(self, solve):
+        # densities near the top of the double range overflow inside the
+        # solve; the result is refused, with no numpy warning on the way
+        polar = solve is solve_polar
+        grid = build_polar_grid(1.0, 16, 0.99) if polar else build_cartesian_grid(1.0, 16)
+        tables = ((tabulate_polar_kernels(grid),) if polar else
+                  (tabulate_cartesian_kernels(grid),) if solve is solve_cartesian else ())
+        field = sample_density(D2Disk(), grid)
+        assert np.isfinite(solve(field.scaled(1e305), *tables).comp_u).all()
+        with pytest.raises(FloatingPointError, match="^force component comp_u holds a non-finite"):
+            solve(field.scaled(1e307), *tables)
