@@ -20,7 +20,7 @@ from .baselines import SofteningConfig, solve_softened_cartesian
 from .grids import CartesianGrid, PolarGrid, build_cartesian_grid, build_polar_grid
 from .kernels_cartesian import tabulate_cartesian_kernels
 from .kernels_polar import tabulate_polar_kernels
-from .models import DensityField, sample_density
+from .models import DensityField, polar_points, sample_density, to_polar
 from .solver import ForceField, solve_cartesian, solve_polar
 
 
@@ -155,14 +155,9 @@ class ConvergenceReport:
         """Pairwise orders for consecutive doubled resolutions; index p in
         {1, 2, 3} picks the norm (3 = max norm).  Entries are None on the
         first row and wherever the resolution step is not a doubling."""
-        col = [row[p - 1] for row in self.norms[component]]
-        out = [None]
-        for i, (a, b) in enumerate(zip(col[:-1], col[1:])):
-            if self.n_values[i + 1] == 2 * self.n_values[i]:
-                out.append(order_of_accuracy(a, b))
-            else:
-                out.append(None)
-        return out
+        col, ns = [row[p - 1] for row in self.norms[component]], self.n_values
+        return [None] + [order_of_accuracy(a, b) if n_b == 2 * n_a else None
+                         for a, b, n_a, n_b in zip(col, col[1:], ns, ns[1:])]
 
     def to_csv(self) -> str:
         meta = [("method", self.method), ("model", self.model), ("coords", self.coords),
@@ -178,47 +173,44 @@ class ConvergenceReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "ConvergenceReport":
-        meta = {}
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        body = []
-        for ln in lines:
+        meta, body = {}, []
+        for ln in text.splitlines():
             if ln.startswith("#"):
                 k, _, v = ln[1:].partition("=")
                 meta[k.strip()] = v.strip()
-            else:
-                body.append(ln)
-        header = body[0].split(",")
-        comps = []
-        for name in header[1:]:
-            c = name.rsplit("_", 1)[0]
-            if c not in comps:
-                comps.append(c)
-        n_values = []
-        norms = {c: [] for c in comps}
-        for ln in body[1:]:
-            parts = ln.split(",")
-            n_values.append(int(parts[0]))
-            for ci, c in enumerate(comps):
-                base = 1 + 6 * ci
-                norms[c].append(tuple(float(parts[base + k]) for k in range(3)))
-        method = meta.pop("method", "")
-        model = meta.pop("model", "")
-        coords = meta.pop("coords", "")
-        return cls(method=method, model=model, coords=coords, components=comps,
-                   n_values=n_values, norms=norms, metadata=meta)
+            elif ln.strip():
+                body.append(ln.split(","))
+        header, *rows = body
+        comps = list(dict.fromkeys(name.rsplit("_", 1)[0] for name in header[1:]))
+        norms = {c: [tuple(float(v) for v in row[1 + 6 * ci:4 + 6 * ci]) for row in rows]
+                 for ci, c in enumerate(comps)}
+        return cls(method=meta.pop("method", ""), model=meta.pop("model", ""),
+                   coords=meta.pop("coords", ""), components=comps,
+                   n_values=[int(row[0]) for row in rows], norms=norms, metadata=meta)
 
 
 def _analytic_force(model, grid) -> ForceField:
     """The model's analytic force at the cell centers: (Fx, Fy) on Cartesian
     grids, projected to (Fr, Ftheta) on polar grids."""
     if grid.coords == "cartesian":
-        X, Y = grid.center_mesh()
-        fx, fy = model.force_xy(X, Y)
+        fx, fy = model.force_xy(*grid.center_mesh())
         return ForceField(grid, np.asarray(fx, float), np.asarray(fy, float))
-    Rg, Tg = grid.center_mesh()
-    fx, fy = model.force_xy(Rg * np.cos(Tg), Rg * np.sin(Tg))
-    return ForceField(grid, fx * np.cos(Tg) + fy * np.sin(Tg),
-                      -fx * np.sin(Tg) + fy * np.cos(Tg))
+    _, X, Y, cos, sin = polar_points(grid)
+    return ForceField(grid, *to_polar(*model.force_xy(X[1:], Y[1:]), cos, sin))
+
+
+COMPONENTS = {"cartesian": ("x", "y", "R"), "polar": ("r", "theta")}
+
+
+def _report(method, model, coords, n_values, rows, metadata, scale=(1.0, 1.0, 1.0)):
+    """A ConvergenceReport of one ``error_norms`` result per row, each norm
+    times its ``scale`` entry."""
+    components = list(COMPONENTS[coords])
+    norms = {c: [tuple(e * f for e, f in zip(row[c], scale)) for row in rows] for c in components}
+    return ConvergenceReport(
+        method=method, model=getattr(model, "kind", type(model).__name__), coords=coords,
+        components=components, n_values=list(n_values), norms=norms,
+        metadata={**metadata, "sign_convention": "attractive"})
 
 
 def run_convergence(model, n_values, coords="cartesian", method="proposed",
@@ -228,37 +220,30 @@ def run_convergence(model, n_values, coords="cartesian", method="proposed",
 
     row_convention "reference" reproduces the frozen reference tables: cell
     weights doubled in linear size (scales L1 by 4 and L2 by 2) and, in
-    Cartesian coordinates, each labeled row solved at twice its label.
+    Cartesian coordinates, each labeled row solved at twice its label.  A
+    model without ``force_xy`` raises ValueError before any solve.
     """
     if row_convention not in ("plain", "reference"):
         raise ValueError(f"unknown row convention {row_convention!r}")
-    scale = (4.0, 2.0, 1.0) if row_convention == "reference" else (1.0, 1.0, 1.0)
-
-    if coords == "cartesian":
-        components = ["x", "y", "R"]
-    elif coords == "polar":
-        components = ["r", "theta"]
-    else:
+    if coords not in COMPONENTS:
         raise ValueError(f"unknown coordinate system {coords!r}")
-
-    norms = {c: [] for c in components}
+    if not hasattr(model, "force_xy"):
+        raise ValueError(f"model {getattr(model, 'kind', type(model).__name__)!r} has no "
+                         "analytic force; measure it against a fine-grid solve with "
+                         "run_self_convergence (thindisk converge --truth-N)")
+    reference = row_convention == "reference"
+    rows = []
     for n in n_values:
         if coords == "cartesian":
-            grid = build_cartesian_grid(half_width, 2 * n if row_convention == "reference" else n)
+            grid = build_cartesian_grid(half_width, 2 * n if reference else n)
         else:
             grid = build_polar_grid(half_width, n, beta0)
         num = solve_field(sample_density(model, grid, slopes=slope_mode), method)
-        res = error_norms(num, _analytic_force(model, grid), grid)
-        for c in components:
-            e1, e2, ei = res[c]
-            norms[c].append((e1 * scale[0], e2 * scale[1], ei * scale[2]))
-
-    return ConvergenceReport(
-        method=method, model=getattr(model, "kind", type(model).__name__),
-        coords=coords, components=components, n_values=list(n_values), norms=norms,
-        metadata={"half_width": half_width, "beta0": beta0 if coords == "polar" else "",
-                  "slope_mode": slope_mode, "row_convention": row_convention,
-                  "sign_convention": "attractive"})
+        rows.append(error_norms(num, _analytic_force(model, grid), grid))
+    return _report(method, model, coords, n_values, rows,
+                   {"half_width": half_width, "beta0": beta0 if coords == "polar" else "",
+                    "slope_mode": slope_mode, "row_convention": row_convention},
+                   scale=(4.0, 2.0, 1.0) if reference else (1.0, 1.0, 1.0))
 
 
 def run_self_convergence(model, n_values, truth_n, half_width=1.0,
@@ -277,17 +262,9 @@ def run_self_convergence(model, n_values, truth_n, half_width=1.0,
                                           slopes=slope_mode))
 
     truth = solve(truth_n)
-    components = ["x", "y", "R"]
-    norms = {c: [] for c in components}
-    for n in n_values:
-        res = error_norms(solve(n), restrict_closest4(truth, n))
-        for c in components:
-            norms[c].append(res[c])
-    return ConvergenceReport(
-        method="proposed-self", model=getattr(model, "kind", type(model).__name__),
-        coords="cartesian", components=components, n_values=list(n_values), norms=norms,
-        metadata={"half_width": half_width, "truth_n": truth_n,
-                  "slope_mode": slope_mode, "sign_convention": "attractive"})
+    rows = [error_norms(solve(n), restrict_closest4(truth, n)) for n in n_values]
+    return _report("proposed-self", model, "cartesian", n_values, rows,
+                   {"half_width": half_width, "truth_n": truth_n, "slope_mode": slope_mode})
 
 
 def _exact_log_integral(a: float) -> float:

@@ -19,7 +19,7 @@ from .convolve import accumulate, cropped_irfft2, direct_convolve, padded_rfft2,
     parity_rfft2, wrap_offsets
 from .grids import CartesianGrid
 from .models import G, DensityField
-from .solver import ForceField
+from .solver import FORCE_COMPONENTS, ForceField, finite
 
 
 def complex_gamma(z):
@@ -124,12 +124,11 @@ def solve_softened_cartesian(field: DensityField, cfg: SofteningConfig | None = 
     limits this method to first order.  Default softening is one cell, eps = dx.
     """
     grid = field.grid
-    with np.errstate(over="ignore", invalid="ignore"):    # require_finite reports these
-        # second-order centered differences, one-sided at the boundary rows
-        fx, fy = np.gradient(-softened_potential(field, cfg, method=method), grid.dx,
-                             edge_order=2)
+    # second-order centered differences, one-sided at the boundary rows
+    fx, fy = finite(lambda: np.gradient(-softened_potential(field, cfg, method=method), grid.dx,
+                                        edge_order=2), *FORCE_COMPONENTS)
     force = ForceField(grid, fx, fy, slope_source=field.slope_source)
-    return force.require_finite().as_convention(sign_convention)
+    return force.as_convention(sign_convention)
 
 
 def kalnajs_potential_axisym(sigma_of_r, radii, cfg: KalnajsConfig | None = None) -> np.ndarray:

@@ -33,11 +33,18 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``error:`` line, not a usage block."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _int_list(text: str):
     try:
         return [int(v) for v in text.split(",") if v]
     except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
 def make_model(name: str, alpha: float, sigma0: float):
@@ -109,7 +116,7 @@ def cmd_solve(args) -> int:
         else:
             tables = tabulate_kernels(grid)
             gridio.save_kernel_tables(args.kernel_cache, tables)
-    force = solve_field(field, args.method, tables, args.epsilon or None).as_convention(args.sign)
+    force = solve_field(field, args.method, tables, args.epsilon).as_convention(args.sign)
 
     out = args.out or "force.txt"
     gridio.write_force(out, force)
@@ -235,8 +242,7 @@ def cmd_kalnajs(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="thindisk",
-                                description="Self-gravity of infinitesimally thin disks")
+    p = _Parser(prog="thindisk", description="Self-gravity of infinitesimally thin disks")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -255,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=64)
     sp.add_argument("--beta0", type=float, default=0.99)
     sp.add_argument("--method", choices=["proposed", "softening"], default="proposed")
-    sp.add_argument("--epsilon", type=float, default=0.0,
+    sp.add_argument("--epsilon", type=float, default=None,
                     help="softening length (default: one cell)")
     sp.add_argument("--slopes", choices=["auto", "analytic", "central-difference"],
                     default="auto")

@@ -23,7 +23,7 @@ import numpy as np
 from .grids import build_cartesian_grid, build_polar_grid
 from .kernels_cartesian import X_KINDS, KernelTables
 from .kernels_polar import KINDS as POLAR_KINDS, PolarKernelTables
-from .models import DensityField, central_difference_slopes
+from .models import DensityField, differenced_field
 from .solver import ForceField
 
 MAGIC = "thindisk v1"
@@ -116,33 +116,20 @@ def write_density(path, field: DensityField, include_slopes: bool = True) -> Non
 
 
 def read_density(path) -> DensityField:
-    """Read a density file.
+    """Read a density file; without a slopes block the slopes are central
+    differences of the values.
 
     Polar files carry no hole-ring block; the ring is rebuilt from the
     innermost available ring (nearest-cell extrapolation), which is harmless
     because the hole's area is a vanishing fraction of the disk.
     """
     grid, rest = _read(path)
-    n = grid.n
-    values, rest = _read_block(rest, n, "density")
-    if rest and rest[0].strip() == "slopes":
-        slope_u, rest = _read_block(rest[1:], n, "x-slopes")
-        slope_v, rest = _read_block(rest, n, "y-slopes")
-        source = "analytic"
-    elif n >= 3:
-        c1 = grid.x_centers if grid.coords == "cartesian" else grid.r_centers
-        c2 = grid.y_centers if grid.coords == "cartesian" else grid.theta_centers
-        slope_u, slope_v = central_difference_slopes(values, c1, c2)
-        source = "central-difference"
-    else:
-        slope_u = np.zeros_like(values)
-        slope_v = np.zeros_like(values)
-        source = "central-difference"
-    kw = {}
-    if grid.coords == "polar":
-        kw = dict(hole_values=values[0].copy(), hole_slope_u=slope_u[0].copy(),
-                  hole_slope_v=slope_v[0].copy())
-    return DensityField(grid, values, slope_u, slope_v, slope_source=source, **kw)
+    values, rest = _read_block(rest, grid.n, "density")
+    if not (rest and rest[0].strip() == "slopes"):
+        return differenced_field(grid, values)
+    slope_u, rest = _read_block(rest[1:], grid.n, "x-slopes")
+    slope_v, rest = _read_block(rest, grid.n, "y-slopes")
+    return differenced_field(grid, values, slope_pair=(slope_u, slope_v))
 
 
 def write_force(path, force: ForceField) -> None:

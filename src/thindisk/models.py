@@ -8,7 +8,7 @@ fixed to 1 throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,46 +60,34 @@ class D2Disk:
 
     def radial_force(self, r) -> np.ndarray:
         """In-plane radial force (attractive, so negative for 0 < R)."""
-        r = np.atleast_1d(_as_array(r))
-        if np.any(r < 0):
-            raise ValueError("radius must be non-negative")
         a, s0 = self.alpha, self.sigma0
-        out = np.empty_like(r)
-        inner = r <= a
-        ri = r[inner]
-        out[inner] = -3 * np.pi**2 * s0 * G * ri * (4 * a**2 - 3 * ri**2) / (16 * a**3)
-        ro = r[~inner]
-        out[~inner] = (
-            -3 * np.pi * s0 * G / (8 * a**3)
-            * (
+        return self._piecewise(
+            r, lambda ri: -3 * np.pi**2 * s0 * G * ri * (4 * a**2 - 3 * ri**2) / (16 * a**3),
+            lambda ro: -3 * np.pi * s0 * G / (8 * a**3) * (
                 ro * (4 * a**2 - 3 * ro**2) * np.arcsin(a / ro)
-                - a * (2 * a**2 - 3 * ro**2) * np.sqrt(1.0 - a**2 / ro**2)
-            )
-        )
-        return out
+                - a * (2 * a**2 - 3 * ro**2) * np.sqrt(1.0 - a**2 / ro**2)))
 
     def potential(self, r) -> np.ndarray:
         """Midplane potential; tends to -mass/R far away and to a negative
         constant at the center."""
+        a, s0 = self.alpha, self.sigma0
+        return self._piecewise(
+            r, lambda ri: (-3 * np.pi**2 * s0 * G / (64 * a**3)
+                           * (8 * a**4 - 8 * a**2 * ri**2 + 3 * ri**4)),
+            lambda ro: -3 * np.pi * s0 * G / (32 * a**3) * (
+                (8 * a**4 - 8 * a**2 * ro**2 + 3 * ro**4) * np.arcsin(a / ro)
+                + 3 * a * (2 * a**2 - ro**2) * np.sqrt(ro**2 - a**2)))
+
+    def _piecewise(self, r, inner, outer) -> np.ndarray:
+        """``inner`` of the radii r <= alpha and ``outer`` of those beyond;
+        a negative radius raises ValueError."""
         r = np.atleast_1d(_as_array(r))
         if np.any(r < 0):
             raise ValueError("radius must be non-negative")
-        a, s0 = self.alpha, self.sigma0
         out = np.empty_like(r)
-        inner = r <= a
-        ri = r[inner]
-        out[inner] = (
-            -3 * np.pi**2 * s0 * G / (64 * a**3)
-            * (8 * a**4 - 8 * a**2 * ri**2 + 3 * ri**4)
-        )
-        ro = r[~inner]
-        out[~inner] = (
-            -3 * np.pi * s0 * G / (32 * a**3)
-            * (
-                (8 * a**4 - 8 * a**2 * ro**2 + 3 * ro**4) * np.arcsin(a / ro)
-                + 3 * a * (2 * a**2 - ro**2) * np.sqrt(ro**2 - a**2)
-            )
-        )
+        within = r <= self.alpha
+        out[within] = inner(r[within])
+        out[~within] = outer(r[~within])
         return out
 
     def force_xy(self, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +186,10 @@ class CallableModel:
         return np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
 
 
+# the per-cell arrays of a DensityField; polar fields add "hole_" + each
+PLANES = ("values", "slope_u", "slope_v")
+
+
 @dataclass(frozen=True)
 class DensityField:
     """Cell-center density values plus per-cell slope pairs on one grid.
@@ -219,35 +211,21 @@ class DensityField:
     hole_slope_v: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.grid.n
-        for name in ("values", "slope_u", "slope_v"):
+        n, polar = self.grid.n, self.grid.coords == "polar"
+        checks = [(p, (n, n)) for p in PLANES] + [("hole_" + p, (n,)) for p in PLANES if polar]
+        for name, shape in checks:
             a = getattr(self, name)
-            if a.shape != (n, n):
-                raise ValueError(f"{name} must have shape ({n}, {n}), got {a.shape}")
+            if a is None or a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got "
+                                 f"{None if a is None else a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} holds a non-finite value")
-        if self.grid.coords == "polar":
-            for name in ("hole_values", "hole_slope_u", "hole_slope_v"):
-                a = getattr(self, name)
-                if a is None or a.shape != (n,):
-                    raise ValueError(f"polar field needs {name} of shape ({n},)")
-                if not np.all(np.isfinite(a)):
-                    raise ValueError(f"{name} holds a non-finite value")
 
     def scaled(self, factor: float) -> "DensityField":
         """Field with every value and slope multiplied by ``factor``."""
-        def s(a):
-            return None if a is None else factor * a
-        return DensityField(
-            grid=self.grid,
-            values=factor * self.values,
-            slope_u=factor * self.slope_u,
-            slope_v=factor * self.slope_v,
-            slope_source=self.slope_source,
-            hole_values=s(self.hole_values),
-            hole_slope_u=s(self.hole_slope_u),
-            hole_slope_v=s(self.hole_slope_v),
-        )
+        names = [prefix + p for prefix in ("", "hole_") for p in PLANES]
+        return replace(self, **{k: factor * getattr(self, k) for k in names
+                                if getattr(self, k) is not None})
 
 
 def eval_density(model, x, y) -> np.ndarray:
@@ -260,10 +238,13 @@ def central_difference_slopes(values: np.ndarray, coord1: np.ndarray, coord2: np
 
     Interior cells use centered differences; boundary cells use one-sided
     three-point stencils of the same order.  Spacings may be non-uniform
-    (as on the logarithmic radial axis).
+    (as on the logarithmic radial axis).  An axis of fewer than three cells
+    has no such stencil and gets zero slopes.
     """
 
     def d_axis(v, c, axis):
+        if len(c) < 3:
+            return np.zeros_like(v)
         # difference form (weights multiply v-increments), so constants give
         # exact zeros and quadratics are differentiated exactly
         v = np.moveaxis(v, axis, 0)
@@ -285,47 +266,62 @@ def central_difference_slopes(values: np.ndarray, coord1: np.ndarray, coord2: np
     return d_axis(values, coord1, 0), d_axis(values, coord2, 1)
 
 
+def polar_points(grid: PolarGrid) -> tuple:
+    """(r, X, Y, cos, sin) of the polar cell centers on an (n+1) x n mesh: row
+    0 is the hole ring at ``hole_radius_mid``, rows 1.. are the rings.  ``r``
+    is a column and ``cos``/``sin`` are per-sector rows."""
+    r = np.concatenate(([grid.hole_radius_mid], grid.r_centers))[:, None]
+    cos, sin = np.cos(grid.theta_centers), np.sin(grid.theta_centers)
+    return r, r * cos, r * sin, cos, sin
+
+
+def to_polar(vx, vy, cos, sin) -> tuple:
+    """The radial and azimuthal parts of the vector (vx, vy)."""
+    return vx * cos + vy * sin, -vx * sin + vy * cos
+
+
+def differenced_field(grid: CartesianGrid | PolarGrid, values: np.ndarray, hole_values=None,
+                      slope_pair=None) -> DensityField:
+    """A field of ``values`` with their central-difference slopes, or with
+    ``slope_pair`` (slope_u, slope_v) when given.  A polar field's hole ring
+    holds ``hole_values`` (default: ring 0's values) and ring 0's slopes, the
+    best slope data the rings offer."""
+    polar = grid.coords == "polar"
+    axes = (grid.r_centers, grid.theta_centers) if polar else (grid.x_centers, grid.y_centers)
+    su, sv = slope_pair or central_difference_slopes(values, *axes)
+    hole = dict(hole_values=values[0].copy() if hole_values is None else hole_values,
+                hole_slope_u=su[0].copy(), hole_slope_v=sv[0].copy()) if polar else {}
+    return DensityField(grid, values, su, sv, **hole,
+                        slope_source="analytic" if slope_pair else "central-difference")
+
+
 def sample_density(model, grid: CartesianGrid | PolarGrid, slopes: str = "auto") -> DensityField:
     """Sample a model onto a grid, filling values and slope pairs.
 
     slopes: "auto" uses analytic partials when the model has them, otherwise
     central differences; "analytic" and "central-difference" force the mode.
-    Polar sampling also fills the hole-cell ring at the representative
-    radius, with the slopes rotated into (d/dr, d/dtheta) components.
+    Polar sampling evaluates the model once on the mesh of ``polar_points``,
+    which fills the hole-cell ring at its representative radius, and rotates
+    the slopes into (d/dr, d/dtheta) components.
     """
     if slopes == "auto":
         slopes = "analytic" if getattr(model, "has_analytic_slopes", False) else "central-difference"
     if slopes not in ("analytic", "central-difference"):
         raise ValueError(f"unknown slope mode {slopes!r}")
 
-    if grid.coords == "cartesian":
-        X, Y = grid.center_mesh()
-        vals = model.density(X, Y)
-        if slopes == "analytic":
-            su, sv = model.density_gradient(X, Y)
-        else:
-            su, sv = central_difference_slopes(vals, grid.x_centers, grid.y_centers)
-        return DensityField(grid, vals, np.asarray(su, float), np.asarray(sv, float),
-                            slope_source=slopes)
-
-    r, r0 = grid.r_centers[:, None], grid.hole_radius_mid
-    cos, sin = np.cos(grid.theta_centers), np.sin(grid.theta_centers)
-    X, Y, x0, y0 = r * cos, r * sin, r0 * cos, r0 * sin
-    vals = model.density(X, Y)
-    hole_vals = model.density(x0, y0)
-    if slopes == "analytic":
-        gx, gy = model.density_gradient(X, Y)
-        su = gx * cos + gy * sin
-        sv = r * (-gx * sin + gy * cos)
-        g0x, g0y = model.density_gradient(x0, y0)
-        h_su = g0x * cos + g0y * sin
-        h_sv = r0 * (-g0x * sin + g0y * cos)
+    polar = grid.coords == "polar"
+    if polar:
+        r, X, Y, cos, sin = polar_points(grid)
     else:
-        su, sv = central_difference_slopes(vals, grid.r_centers, grid.theta_centers)
-        # hole ring: reuse the innermost ring's slopes as the best available data
-        h_su, h_sv = su[0].copy(), sv[0].copy()
-    return DensityField(grid, vals, np.asarray(su, float), np.asarray(sv, float),
-                        slope_source=slopes,
-                        hole_values=np.asarray(hole_vals, float),
-                        hole_slope_u=np.asarray(h_su, float),
-                        hole_slope_v=np.asarray(h_sv, float))
+        X, Y = grid.center_mesh()
+    vals = model.density(X, Y)
+    hole_vals, vals = (vals[0], vals[1:]) if polar else (None, vals)
+    if slopes == "central-difference":
+        return differenced_field(grid, vals, hole_vals)
+    su, sv = model.density_gradient(X, Y)
+    if not polar:
+        return DensityField(grid, vals, np.asarray(su, float), np.asarray(sv, float))
+    su, sv = to_polar(su, sv, cos, sin)
+    sv = r * sv
+    return DensityField(grid, vals, su[1:], sv[1:], hole_values=hole_vals,
+                        hole_slope_u=su[0], hole_slope_v=sv[0])

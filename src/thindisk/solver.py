@@ -59,13 +59,6 @@ class ForceField:
         return replace(self, comp_u=-self.comp_u, comp_v=-self.comp_v,
                        sign_convention=sign_convention)
 
-    def require_finite(self) -> "ForceField":
-        """This field; FloatingPointError naming a component that holds inf or nan."""
-        for name in ("comp_u", "comp_v"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise FloatingPointError(f"force component {name} holds a non-finite value")
-        return self
-
     def radial(self) -> np.ndarray:
         """Radial projection (x*Fx + y*Fy)/R on Cartesian grids; comp_u on polar."""
         if self.coords == "polar":
@@ -73,6 +66,21 @@ class ForceField:
         X, Y = self.grid.center_mesh()
         R = np.hypot(X, Y)
         return (X * self.comp_u + Y * self.comp_v) / R
+
+
+FORCE_COMPONENTS = ("force component comp_u", "force component comp_v")
+
+
+def finite(compute, *names) -> list:
+    """The arrays ``compute()`` returns, computed with overflow and invalid
+    warnings off; FloatingPointError naming (by ``names``) the first array
+    that holds inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays = compute()
+    for name, a in zip(names, arrays):
+        if not np.isfinite(a).all():
+            raise FloatingPointError(f"{name} holds a non-finite value")
+    return arrays
 
 
 # Term tables: a row (output, kernel kind, input plane, r_i factor) adds [r_i *]
@@ -155,12 +163,11 @@ def _force(terms, field: DensityField, tables, backend: str,
            sign_convention: str = "attractive") -> ForceField:
     if field.grid is not tables.grid and field.grid != tables.grid:
         raise ValueError("density field and kernel tables were built on different grids")
-    with np.errstate(over="ignore", invalid="ignore"):    # require_finite reports these
-        u, v = assemble(terms, field, tables, backend)
+    u, v = finite(lambda: assemble(terms, field, tables, backend), *FORCE_COMPONENTS)
     if field.grid.coords == "polar":
         u = -u      # radial family orientation: its integrand is outward-positive
     force = ForceField(field.grid, u, v, slope_source=field.slope_source)
-    return force.require_finite().as_convention(sign_convention)
+    return force.as_convention(sign_convention)
 
 
 def solve_cartesian(field: DensityField, tables: KernelTables,
@@ -196,11 +203,13 @@ def polar_potential(field: DensityField, tables: PolarKernelTables | None = None
     Uses the potential-kernel family (exact radial antiderivatives,
     two-node trapezoid in theta) with density and slope terms plus the hole
     ring; returns shape (n, n).  Tables are tabulated on demand when not
-    supplied with the potential kinds included.
+    supplied with the potential kinds included.  A result holding inf or nan
+    raises FloatingPointError.
     """
     grid = field.grid
     if grid.coords != "polar":
         raise ValueError("polar_potential needs a polar density field")
     if tables is None or any(k not in tables.tables for k in POTENTIAL_KINDS):
         tables = tabulate_polar_kernels(grid, kinds=POTENTIAL_KINDS)
-    return -grid.r_centers[:, None] * assemble(POTENTIAL_TERMS, field, tables)[0]
+    r = grid.r_centers[:, None]
+    return finite(lambda: [-r * assemble(POTENTIAL_TERMS, field, tables)[0]], "potential")[0]

@@ -146,6 +146,17 @@ class TestRestriction:
         assert capsys.readouterr().err == f"error: {want.value}\n"
 
 
+    @pytest.mark.parametrize("coords", ["cartesian", "polar"])
+    def test_convergence_without_analytic_force_rejected_before_solving(self, monkeypatch,
+                                                                        coords):
+        from thindisk import LogSpiralDisk, analysis
+        monkeypatch.setattr(analysis, "solve_field",
+                            lambda *a, **k: pytest.fail("solved before the check"))
+        want = r"'log_spiral' has no analytic force.*run_self_convergence \(thindisk converge"
+        with pytest.raises(ValueError, match=want):
+            run_convergence(LogSpiralDisk(), [16, 32], coords=coords)
+
+
 class TestSolveRecipe:
     @pytest.mark.parametrize("coords", ["cartesian", "polar"])
     def test_proposed_matches_the_geometry_solver(self, coords, monkeypatch):

@@ -191,6 +191,60 @@ class TestConverge:
         assert not out.exists()
 
 
+class TestBadInput:
+    """Bad input ends in its documented exit code and one stderr line, never
+    a traceback.  ``{cfg}`` in an argv names a config file holding ``config``."""
+
+    CASES = [
+        # (argv, config, exit code, stderr line)
+        (["solve", "--method", "softening", "--epsilon", "0"], None, 1,
+         "error: softening length must be positive"),
+        (["solve", "--method", "softening", "--config", "{cfg}"], "epsilon = 0", 1,
+         "error: softening length must be positive"),
+        (["solve", "--method", "softening", "--coords", "polar"], None, 1,
+         "error: softened solver runs on Cartesian grids"),
+        (["converge", "--model", "log-spiral", "--N", "16,32"], None, 1,
+         "error: model 'log_spiral' has no analytic force; measure it against a fine-grid "
+         "solve with run_self_convergence (thindisk converge --truth-N)"),
+        (["converge", "--N", "16,x"], None, 1, "error: argument --N: bad integer list '16,x'"),
+        (["solve", "--N", "x"], None, 1, "error: argument --N: invalid int value: 'x'"),
+        (["solve", "--model", "unknown-disk"], None, 1,
+         "error: unknown model 'unknown-disk' (expected d2, d2_2 or log-spiral)"),
+        (["solve", "--config", "{cfg}"], "frobnicate = 3", 1,
+         "error: unknown config key 'frobnicate'"),
+        (["solve", "--input", "{missing}"], None, 2, "error: cannot read {missing}"),
+        (["singular-study", "--k-min", "26", "--k-max", "27"], None, 3,
+         "numerical failure: 1 - cos(2**-27) rounds to 0 in double precision "
+         "(k must be at most 26)"),
+    ]
+
+    @pytest.mark.parametrize("argv,config,code,line", CASES,
+                             ids=lambda v: "_".join(v) if isinstance(v, list) else None)
+    def test_one_line_and_exit_code(self, tmp_path, capsys, argv, config, code, line):
+        names = {"cfg": str(tmp_path / "c.cfg"), "missing": str(tmp_path / "nope.txt")}
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(config + "\n")
+        out = tmp_path / "out.txt"
+        argv = [a.format(**names) for a in argv] + ["--out", str(out)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == line.format(**names) + "\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_two_cell_grid_solves(self, tmp_path, capsys):
+        # no three-point stencil fits on two cells: zero difference slopes
+        out = tmp_path / "f.txt"
+        assert main(["solve", "--N", "2", "--slopes", "central-difference",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_force(out).grid.n == 2
+        from thindisk import D2Disk, build_cartesian_grid, sample_density
+        from thindisk.analysis import solve_field
+        field = sample_density(D2Disk(), build_cartesian_grid(1.0, 2), slopes="central-difference")
+        assert not field.slope_u.any() and not field.slope_v.any()
+        np.testing.assert_array_equal(read_force(out).comp_u, solve_field(field).comp_u)
+
+
 class TestConfigFile:
     def test_config_fills_defaults_flags_override(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -4,6 +4,8 @@ import pytest
 from thindisk import (CallableModel, D2Disk, D2PairDisk, LogSpiralDisk,
                       build_cartesian_grid, build_polar_grid, eval_density,
                       sample_density)
+from thindisk.analysis import _analytic_force
+from thindisk.gridio import read_density, write_density
 from thindisk.models import central_difference_slopes
 
 
@@ -203,7 +205,7 @@ class TestSampling:
         assert errs[-1, 0] < 0.06 and errs[-1, 1] < 0.004
 
     @pytest.mark.parametrize("n", [16, 33])
-    @pytest.mark.parametrize("model", [LogSpiralDisk(), D2PairDisk(offset=0.1)],
+    @pytest.mark.parametrize("model", [LogSpiralDisk(), D2PairDisk(offset=0.1), D2Disk(0.3)],
                              ids=lambda m: m.kind)
     def test_polar_sampling_equals_meshgrid_trig(self, n, model):
         # the separable trig of sample_density against the full-mesh formula
@@ -223,15 +225,47 @@ class TestSampling:
             "hole_slope_u": g0x * np.cos(t) + g0y * np.sin(t),
             "hole_slope_v": r0 * (-g0x * np.sin(t) + g0y * np.cos(t)),
         }
+        got = {name: getattr(f, name) for name in want}
+        if hasattr(model, "force_xy"):
+            # the analytic force shares the sampling's points and rotation
+            fx, fy = model.force_xy(X, Y)
+            force = _analytic_force(model, grid)
+            want.update(force_r=fx * np.cos(Tg) + fy * np.sin(Tg),
+                        force_theta=-fx * np.sin(Tg) + fy * np.cos(Tg))
+            got.update(force_r=force.comp_u, force_theta=force.comp_v)
         for name, a in want.items():
-            np.testing.assert_array_equal(getattr(f, name), a, err_msg=name)
+            np.testing.assert_array_equal(got[name], a, err_msg=name)
+            np.testing.assert_array_equal(np.signbit(got[name]), np.signbit(a), err_msg=name)
+
+    @pytest.mark.parametrize("slopes", ["central-difference", "auto"])
+    def test_two_cell_axes_get_zero_difference_slopes(self, tmp_path, slopes):
+        # no three-point stencil fits on two cells: zero slopes, the same
+        # from sampling and from a density file without slopes
+        grid = build_cartesian_grid(1.0, 2)
+        model = CallableModel(lambda x, y: 1.0 + x + 2 * y)
+        f = sample_density(model, grid, slopes=slopes)
+        assert f.slope_source == "central-difference"
+        np.testing.assert_array_equal(f.slope_u, np.zeros((2, 2)))
+        np.testing.assert_array_equal(f.slope_v, np.zeros((2, 2)))
+        path = tmp_path / "d.txt"
+        write_density(path, f, include_slopes=False)
+        back = read_density(path)
+        for name in ("values", "slope_u", "slope_v", "slope_source"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(f, name))
+        su, sv = central_difference_slopes(np.ones((2, 5)), np.arange(2.0), np.arange(5.0))
+        assert not su.any() and not sv.any() and su.shape == sv.shape == (2, 5)
 
     def test_scaled_field(self):
-        grid = build_cartesian_grid(1.0, 8)
-        f = sample_density(D2Disk(), grid)
-        g = f.scaled(-2.0)
-        np.testing.assert_array_equal(g.values, -2.0 * f.values)
-        np.testing.assert_array_equal(g.slope_u, -2.0 * f.slope_u)
+        for grid in (build_cartesian_grid(1.0, 8), build_polar_grid(1.0, 16, 0.9)):
+            f = sample_density(LogSpiralDisk(), grid, slopes="central-difference")
+            g = f.scaled(-2.0)
+            assert g.grid is f.grid and g.slope_source == "central-difference"
+            for name in ("values", "slope_u", "slope_v", "hole_values", "hole_slope_u",
+                         "hole_slope_v"):
+                if grid.coords == "cartesian" and name.startswith("hole_"):
+                    assert getattr(g, name) is None
+                else:
+                    np.testing.assert_array_equal(getattr(g, name), -2.0 * getattr(f, name))
 
     def test_shape_validation(self):
         grid = build_cartesian_grid(1.0, 8)

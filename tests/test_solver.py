@@ -221,6 +221,18 @@ class TestPolarPotential:
         with pytest.raises(ValueError):
             polar_potential(_zero_field(grid))
 
+    def test_overflowing_potential_raises(self):
+        # the same guard as the force solves: no numpy warning, a refused
+        # result.  The potential's spectral products overflow from about 1e302
+        # here (p0 entries reach 404), earlier than the forces' 1e307.
+        grid = build_polar_grid(1.0, 16, 0.99)
+        field = sample_density(D2Disk(), grid)
+        tables = tabulate_polar_kernels(grid, kinds=POTENTIAL_KINDS)
+        assert np.isfinite(polar_potential(field.scaled(1e300), tables)).all()
+        for scale in (1e305, 1e307):
+            with pytest.raises(FloatingPointError, match="^potential holds a non-finite value$"):
+                polar_potential(field.scaled(scale), tables)
+
 
 def _rel_diff(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
