@@ -43,13 +43,16 @@ def tabulate_kernels(grid):
 def solve_field(field: DensityField, method: str = "proposed", tables=None,
                 epsilon: float | None = None) -> ForceField:
     """The attractive force of ``field`` by "proposed" (tabulating kernels
-    only when ``tables`` is None) or "softening" (``epsilon`` defaults to one
-    cell; baselines rejects polar grids)."""
+    only when ``tables`` is None; ``epsilon`` raises ValueError) or
+    "softening" (``epsilon`` defaults to one cell; baselines rejects polar
+    grids)."""
     if method == "softening":
         return solve_softened_cartesian(
             field, None if epsilon is None else SofteningConfig(epsilon))
     if method != "proposed":
         raise ValueError(f"unknown method {method!r}")
+    if epsilon is not None:
+        raise ValueError("epsilon is the softening length; the proposed method takes none")
     tables = tabulate_kernels(field.grid) if tables is None else tables
     solve = solve_cartesian if field.grid.coords == "cartesian" else solve_polar
     return solve(field, tables)
@@ -77,12 +80,9 @@ def error_norms(numeric: ForceField, exact: ForceField, grid=None):
     Returns {"x": ..., "y": ..., "R": ...} on Cartesian grids and
     {"r": ..., "theta": ...} on polar grids.
     """
-    if grid is None:
-        grid = numeric.grid
+    grid = numeric.grid if grid is None else grid
     if numeric.grid != grid or exact.grid != grid:
         raise ValueError("force fields live on different grids")
-    if numeric.sign_convention != exact.sign_convention:
-        raise ValueError("sign conventions differ between the two fields")
     if grid.coords == "cartesian":
         return {
             "x": array_norms(numeric.comp_u - exact.comp_u, grid),
@@ -133,9 +133,7 @@ def restrict_closest4(fine: ForceField, n_target: int) -> ForceField:
         return 0.25 * (a[lo][:, lo] + a[hi][:, lo] + a[lo][:, hi] + a[hi][:, hi])
 
     coarse = build_cartesian_grid(grid.half_width, n_target)
-    return ForceField(coarse, down(fine.comp_u), down(fine.comp_v),
-                      sign_convention=fine.sign_convention,
-                      slope_source=fine.slope_source)
+    return ForceField(coarse, down(fine.comp_u), down(fine.comp_v))
 
 
 @dataclass

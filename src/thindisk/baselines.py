@@ -3,23 +3,26 @@
 The softening method lumps each cell's mass at its center, sums the point
 potentials with a softened distance sqrt(eps^2 + d^2), and differentiates
 the gridded potential numerically; it is first-order accurate and needs no
-kernel tables.  The log-spectral method expands an axisymmetric density in
-log-radius waves, multiplies by the exact gamma-function transfer kernel,
-and inverts; truncating the log-radius axis carves a small hole out of the
-disk, which is the method's signature error near the origin.
+force tables.  Its one (n+1)^2 kernel quadrant runs through the solver's
+spectral recipe (solver.assemble) like any force kernel, and its forces are
+attractive, like every solver's.  The log-spectral method expands an
+axisymmetric density in log-radius waves, multiplies by the exact
+gamma-function transfer kernel, and inverts; truncating the log-radius axis
+carves a small hole out of the disk, which is the method's signature error
+near the origin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from .convolve import accumulate, cropped_irfft2, direct_convolve, padded_rfft2, \
-    parity_rfft2, wrap_offsets
-from .grids import CartesianGrid
+from .kernels_cartesian import KernelTables
 from .models import G, DensityField
-from .solver import FORCE_COMPONENTS, ForceField, finite
+from .solver import FORCE_COMPONENTS, ForceField, assemble, finite
+
+SOFTENED_TERMS = ((0, "soft", "values", False),)
 
 
 def complex_gamma(z):
@@ -96,28 +99,24 @@ class KalnajsConfig:
 
 def softened_potential(field: DensityField, cfg: SofteningConfig | None = None,
                        method: str = "fft") -> np.ndarray:
-    """Potential at cell centers from softened cell-lumped point masses."""
-    grid: CartesianGrid = field.grid
+    """Potential at cell centers from softened cell-lumped point masses,
+    by "fft" or "direct" summation (solver.assemble's backends)."""
+    grid = field.grid
     if grid.coords != "cartesian":
         raise ValueError("softened solver runs on Cartesian grids")
-    eps = cfg.epsilon if cfg is not None else grid.dx
-    n = grid.n
     if method not in ("fft", "direct"):
         raise ValueError(f"unknown method {method!r}")
-    # the kernel is even on both axes: its spectrum is one real (n+1)^2 quadrant
-    offs = (np.arange(n + 1) if method == "fft" else wrap_offsets(n)) * grid.dx
+    eps = cfg.epsilon if cfg is not None else grid.dx
+    # the kernel is even on both axes (PARITY["soft"]): one (n+1)^2 quadrant
+    offs = np.arange(grid.n + 1) * grid.dx
     kernel = -G / np.sqrt(eps * eps + offs[:, None] ** 2 + offs[None, :] ** 2)
-    mass = field.values * grid.cell_area
-    if method == "direct":
-        return direct_convolve(kernel, mass)
-    shape, accs = (2 * n, 2 * n), {}
-    accumulate(accs, [(0, parity_rfft2(kernel, (1, 1)), 1)], padded_rfft2(mass, shape), False)
-    return cropped_irfft2(accs[0], shape, n, n)
+    # an overflowing mass is a numerical failure, not a bad DensityField
+    mass = replace(field, values=finite(lambda: [field.values * grid.cell_area], "cell mass")[0])
+    return assemble(SOFTENED_TERMS, mass, KernelTables(grid, {"soft": kernel}), method)[0]
 
 
 def solve_softened_cartesian(field: DensityField, cfg: SofteningConfig | None = None,
-                             method: str = "fft",
-                             sign_convention: str = "attractive") -> ForceField:
+                             method: str = "fft") -> ForceField:
     """Forces by differencing the softened potential on the grid.
 
     Differentiating the numerical potential (rather than the kernel) is what
@@ -127,8 +126,7 @@ def solve_softened_cartesian(field: DensityField, cfg: SofteningConfig | None = 
     # second-order centered differences, one-sided at the boundary rows
     fx, fy = finite(lambda: np.gradient(-softened_potential(field, cfg, method=method), grid.dx,
                                         edge_order=2), *FORCE_COMPONENTS)
-    force = ForceField(grid, fx, fy, slope_source=field.slope_source)
-    return force.as_convention(sign_convention)
+    return ForceField(grid, fx, fy)
 
 
 def kalnajs_potential_axisym(sigma_of_r, radii, cfg: KalnajsConfig | None = None) -> np.ndarray:

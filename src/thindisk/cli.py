@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,14 +116,16 @@ def cmd_solve(args) -> int:
         else:
             tables = tabulate_kernels(grid)
             gridio.save_kernel_tables(args.kernel_cache, tables)
-    force = solve_field(field, args.method, tables, args.epsilon).as_convention(args.sign)
+    force = solve_field(field, args.method, tables, args.epsilon)
 
     out = args.out or "force.txt"
-    gridio.write_force(out, force)
+    # library forces are attractive; a repulsive file holds their exact negation
+    gridio.write_force(out, force if args.sign == "attractive" else
+                       replace(force, comp_u=-force.comp_u, comp_v=-force.comp_v))
     print(f"wrote {out}")
 
     if model is not None and hasattr(model, "force_xy"):
-        exact = analysis._analytic_force(model, grid).as_convention(args.sign)
+        exact = analysis._analytic_force(model, grid)
         for comp, (e1, e2, ei) in analysis.error_norms(force, exact, grid).items():
             print(f"F_{comp}: L1={e1:.4e}  L2={e2:.4e}  Linf={ei:.4e}")
     return 0
@@ -132,6 +134,12 @@ def cmd_solve(args) -> int:
 def cmd_converge(args) -> int:
     model = make_model(args.model, args.alpha, args.sigma0)
     if args.truth_N:
+        # the fine-grid reference is a Cartesian proposed solve with plain rows
+        for key, only in (("coords", "cartesian"), ("method", "proposed"),
+                          ("row_convention", "plain")):
+            if getattr(args, key) != only:
+                flag = "--" + key.replace("_", "-")
+                raise UsageError(f"--truth-N takes only {flag} {only}, not {getattr(args, key)}")
         report = analysis.run_self_convergence(
             model, args.N, args.truth_N, half_width=args.M, slope_mode=args.slopes)
     else:

@@ -100,6 +100,15 @@ def accumulate(accs: dict, products, spec: np.ndarray, imaginary: bool) -> None:
                 acc -= term
 
 
+def _padded_shape(kernel: np.ndarray, field: np.ndarray, pad_axes) -> tuple:
+    """The wrap-layout shape of a kernel for ``field``: twice its length on
+    ``pad_axes``, its length on the others; ValueError unless ``kernel`` has it."""
+    shape = tuple(2 * n if axis in pad_axes else n for axis, n in enumerate(field.shape))
+    if kernel.shape != shape:
+        raise ValueError(f"kernel shape {kernel.shape} does not match padded shape {shape}")
+    return shape
+
+
 def fft_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> np.ndarray:
     """out[i, j] = sum_{i', j'} kernel[i - i', j - j'] * field[i', j'].
 
@@ -107,10 +116,7 @@ def fft_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> np.n
     (offsets 0..n then -n+1..-1), length n on periodic axes (offsets modulo
     n).  ``field`` is n x n.
     """
-    n0, n1 = field.shape
-    shape = (2 * n0 if 0 in pad_axes else n0, 2 * n1 if 1 in pad_axes else n1)
-    if kernel.shape != shape:
-        raise ValueError(f"kernel shape {kernel.shape} does not match padded shape {shape}")
+    (n0, n1), shape = field.shape, _padded_shape(kernel, field, pad_axes)
     spec = padded_rfft2(field, shape)
     spec *= padded_rfft2(kernel, shape)
     return cropped_irfft2(spec, shape, n0, n1)
@@ -123,10 +129,7 @@ def direct_convolve(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1)) -> n
     product is actually performed; this is the benchmark's direct method and
     the correctness oracle for fft_convolve.
     """
-    n0, n1 = field.shape
-    shape = (2 * n0 if 0 in pad_axes else n0, 2 * n1 if 1 in pad_axes else n1)
-    if kernel.shape != shape:
-        raise ValueError(f"kernel shape {kernel.shape} does not match padded shape {shape}")
+    (n0, n1), shape = field.shape, _padded_shape(kernel, field, pad_axes)
     i1 = np.arange(n0)
     j = np.arange(n1)[:, None]
     jp = np.arange(n1)[None, :]

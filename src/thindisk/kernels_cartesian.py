@@ -19,8 +19,10 @@ KINDS = ("x0", "xx", "xy", "y0", "yx", "yy")
 X_KINDS = KINDS[:3]
 _Y_FROM_X = {"y0": "x0", "yx": "xy", "yy": "xx"}    # y-kind: x-kind with the axes swapped
 # (row, column) parity under di -> -di and dj -> -dj; a spectrum has its
-# table's parity, and is real or, odd in one axis only, imaginary
-PARITY = {"x0": (-1, 1), "xx": (1, 1), "xy": (-1, -1), "y0": (1, -1), "yx": (-1, -1), "yy": (1, 1)}
+# table's parity, and is real or, odd in one axis only, imaginary.  "soft"
+# is the softened point-mass potential kernel of baselines.softened_potential
+PARITY = {"x0": (-1, 1), "xx": (1, 1), "xy": (-1, -1), "y0": (1, -1), "yx": (-1, -1),
+          "yy": (1, 1), "soft": (1, 1)}
 
 
 def _log_plus_hypot(a, b):
@@ -149,7 +151,9 @@ class KernelTables:
     rebuilds any of the six kinds in the 2n x 2n wrap layout of
     wrap_offsets(n), and ``spectrum(kind)`` gives the real quadrant of its
     half-spectrum (see convolve.parity_rfft2).  Both are cached on first
-    use, so repeated solves on one grid pay the transforms once.
+    use, so repeated solves on one grid pay the transforms once.  Any kind
+    in PARITY works the same way: baselines.softened_potential holds its
+    kernel as the one kind "soft".
     """
 
     grid: CartesianGrid

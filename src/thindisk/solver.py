@@ -1,16 +1,20 @@
 """Force-field assembly from kernel tables and density fields.
 
-The default sign convention, "attractive", orients every component so that
-force points toward mass; that is the convention of the analytic disk
-models in models.py, so numerical and analytic fields compare directly.
-"repulsive" negates every component exactly.  Note the two polar kernel
-families come out of their defining integrals with opposite orientations
-(the radial family is outward-positive, the azimuthal family
-forward-positive); the radial flip happens here, not in the tables.
+Every solver returns forces in the "attractive" convention: each component
+points toward mass, as in the analytic disk models of models.py, so
+numerical and analytic fields compare directly (``thindisk solve --sign
+repulsive`` negates them on output).  ``assemble`` is the one spectral
+recipe: a term table of (output, kernel kind, input plane, r_i factor) rows
+run over a tables object's kernels by zero-padded FFT or by direct
+summation, for the forces here and for baselines.softened_potential.  Note
+the two polar kernel families come out of their defining integrals with
+opposite orientations (the radial family is outward-positive, the
+azimuthal family forward-positive); the radial flip happens here, not in
+the tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,51 +25,30 @@ from .kernels_cartesian import PARITY, KernelTables
 from .kernels_polar import POTENTIAL_KINDS, PolarKernelTables, tabulate_polar_kernels
 from .models import DensityField
 
-SIGN_CONVENTIONS = ("attractive", "repulsive")
-
 
 @dataclass(frozen=True)
 class ForceField:
     """Per-cell force components on one grid.
 
     ``comp_u``/``comp_v`` are (Fx, Fy) on Cartesian grids and (Fr, Ftheta)
-    on polar grids, shape (n, n) with the same axis order as DensityField.
+    on polar grids, shape (n, n) with the same axis order as DensityField,
+    attractive: each points toward mass.
     """
 
     grid: CartesianGrid | PolarGrid
     comp_u: np.ndarray
     comp_v: np.ndarray
-    sign_convention: str = "attractive"
-    slope_source: str = "analytic"
-
-    def __post_init__(self):
-        if self.sign_convention not in SIGN_CONVENTIONS:
-            raise ValueError(f"unknown sign convention {self.sign_convention!r}")
 
     @property
     def coords(self) -> str:
         return self.grid.coords
-
-    def flipped(self) -> "ForceField":
-        """Same field under the opposite sign convention (exact negation)."""
-        other = "repulsive" if self.sign_convention == "attractive" else "attractive"
-        return self.as_convention(other)
-
-    def as_convention(self, sign_convention: str) -> "ForceField":
-        """This field, or its exact negation, under ``sign_convention``; an
-        unknown convention raises ValueError."""
-        if sign_convention == self.sign_convention:
-            return self
-        return replace(self, comp_u=-self.comp_u, comp_v=-self.comp_v,
-                       sign_convention=sign_convention)
 
     def radial(self) -> np.ndarray:
         """Radial projection (x*Fx + y*Fy)/R on Cartesian grids; comp_u on polar."""
         if self.coords == "polar":
             return self.comp_u
         X, Y = self.grid.center_mesh()
-        R = np.hypot(X, Y)
-        return (X * self.comp_u + Y * self.comp_v) / R
+        return (X * self.comp_u + Y * self.comp_v) / np.hypot(X, Y)
 
 
 FORCE_COMPONENTS = ("force component comp_u", "force component comp_v")
@@ -159,21 +142,18 @@ def assemble(terms, field: DensityField, tables, backend: str = "fft") -> list:
     return [outs[k] for k in sorted(outs)]
 
 
-def _force(terms, field: DensityField, tables, backend: str,
-           sign_convention: str = "attractive") -> ForceField:
+def _force(terms, field: DensityField, tables, backend: str) -> ForceField:
     if field.grid is not tables.grid and field.grid != tables.grid:
         raise ValueError("density field and kernel tables were built on different grids")
     u, v = finite(lambda: assemble(terms, field, tables, backend), *FORCE_COMPONENTS)
     if field.grid.coords == "polar":
         u = -u      # radial family orientation: its integrand is outward-positive
-    force = ForceField(field.grid, u, v, slope_source=field.slope_source)
-    return force.as_convention(sign_convention)
+    return ForceField(field.grid, u, v)
 
 
-def solve_cartesian(field: DensityField, tables: KernelTables,
-                    sign_convention: str = "attractive") -> ForceField:
+def solve_cartesian(field: DensityField, tables: KernelTables) -> ForceField:
     """Both force components as three kernel convolutions each."""
-    return _force(CARTESIAN_TERMS, field, tables, "fft", sign_convention)
+    return _force(CARTESIAN_TERMS, field, tables, "fft")
 
 
 def solve_cartesian_direct(field: DensityField, tables: KernelTables) -> ForceField:
@@ -181,19 +161,18 @@ def solve_cartesian_direct(field: DensityField, tables: KernelTables) -> ForceFi
     return _force(CARTESIAN_TERMS, field, tables, "direct")
 
 
-def solve_polar(field: DensityField, tables: PolarKernelTables,
-                sign_convention: str = "attractive") -> ForceField:
+def solve_polar(field: DensityField, tables: PolarKernelTables) -> ForceField:
     """Radial and azimuthal forces with ring and hole-cell contributions.
 
     The radial-slope terms carry an external r_i factor; the azimuthal force
     needs no 1/r_i prefactor because it cancels against the kernel's own
     scale, leaving pure offset convolutions.
     """
-    return _force(POLAR_TERMS, field, tables, "fft", sign_convention)
+    return _force(POLAR_TERMS, field, tables, "fft")
 
 
 def solve_polar_direct(field: DensityField, tables: PolarKernelTables) -> ForceField:
-    """Direct-summation twin of solve_polar (oracle; attractive convention)."""
+    """Direct-summation twin of solve_polar (oracle)."""
     return _force(POLAR_TERMS, field, tables, "direct")
 
 

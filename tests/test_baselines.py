@@ -8,7 +8,7 @@ from thindisk import (D2Disk, KalnajsConfig, SofteningConfig, build_cartesian_gr
                       spectral_transfer_kernel)
 from thindisk.analysis import array_norms
 from thindisk.baselines import softened_potential
-from thindisk.models import DensityField
+from thindisk.models import G, DensityField
 
 
 class TestComplexGamma:
@@ -135,6 +135,23 @@ class TestSoftening:
             a = softened_potential(field, method="fft")
             b = softened_potential(field, method="direct")
             assert np.abs(a - b).max() < 1e-11 * np.abs(b).max()
+
+    @pytest.mark.parametrize("method", ["fft", "direct"])
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_potential_is_the_softened_point_mass_sum(self, n, method):
+        # each cell's mass sigma * dx^2 sits at its center; the softened
+        # potential of every pair is summed here directly
+        grid = build_cartesian_grid(1.0, n)
+        sigma, slope_u, slope_v = np.random.default_rng(n).uniform(0.5, 1.5, (3, n, n))
+        eps = 0.05
+        X, Y = grid.center_mesh()
+        dist = np.sqrt(eps**2 + (X[:, :, None, None] - X) ** 2 + (Y[:, :, None, None] - Y) ** 2)
+        want = -G * np.sum(sigma * grid.cell_area / dist, axis=(2, 3))
+        field = DensityField(grid, sigma, slope_u, slope_v)
+        got = softened_potential(field, SofteningConfig(eps), method=method)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        with pytest.raises(ValueError, match="'bogus'"):
+            softened_potential(field, SofteningConfig(eps), method="bogus")
 
     def test_epsilon_to_zero_approaches_unsoftened_sum(self):
         # kernel-differentiated softened forces tend monotonically (L1) to

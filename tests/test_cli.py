@@ -166,6 +166,26 @@ class TestSolve:
         assert main(["solve", "--model", "unknown-disk", "--threads", "1"]) == 1
 
 
+class TestSign:
+    @pytest.mark.parametrize("argv", [[], ["--coords", "polar"], ["--method", "softening"]],
+                             ids=["cartesian", "polar", "softening"])
+    def test_repulsive_file_is_the_exact_negation(self, tmp_path, capsys, argv):
+        forces, norms = {}, {}
+        for sign in ("attractive", "repulsive"):
+            out = tmp_path / f"{sign}.txt"
+            assert main(["solve", "--N", "16", *argv, "--sign", sign, "--out", str(out)]) == 0
+            forces[sign] = read_force(out)
+            norms[sign] = [ln for ln in capsys.readouterr().out.splitlines()
+                           if ln.startswith("F_")]
+        att, rep = forces["attractive"], forces["repulsive"]
+        for a, r in ((att.comp_u, rep.comp_u), (att.comp_v, rep.comp_v)):
+            np.testing.assert_array_equal(r, -a)
+            # zeros too: +0 in one file is -0 in the other
+            np.testing.assert_array_equal(np.signbit(r), ~np.signbit(a))
+        # the printed norms compare like with like, so the sign leaves them alone
+        assert norms["attractive"] and norms["repulsive"] == norms["attractive"]
+
+
 class TestConverge:
     def test_writes_parseable_csv(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -213,6 +233,21 @@ class TestBadInput:
         (["solve", "--config", "{cfg}"], "frobnicate = 3", 1,
          "error: unknown config key 'frobnicate'"),
         (["solve", "--input", "{missing}"], None, 2, "error: cannot read {missing}"),
+        (["converge", "--model", "log-spiral", "--N", "8", "--truth-N", "16", "--coords", "polar"],
+         None, 1, "error: --truth-N takes only --coords cartesian, not polar"),
+        (["converge", "--model", "log-spiral", "--N", "8", "--truth-N", "16",
+          "--method", "softening"], None, 1,
+         "error: --truth-N takes only --method proposed, not softening"),
+        (["converge", "--model", "log-spiral", "--N", "8", "--truth-N", "16",
+          "--row-convention", "reference"], None, 1,
+         "error: --truth-N takes only --row-convention plain, not reference"),
+        (["solve", "--N", "16", "--epsilon", "-1"], None, 1,
+         "error: epsilon is the softening length; the proposed method takes none"),
+        (["solve", "--N", "16", "--config", "{cfg}"], "epsilon = 0.1", 1,
+         "error: epsilon is the softening length; the proposed method takes none"),
+        # cell masses past the double range (sigma0 * dx^2 with dx = 125)
+        (["solve", "--method", "softening", "--M", "1000", "--alpha", "900", "--N", "16",
+          "--sigma0", "1e305"], None, 3, "numerical failure: cell mass holds a non-finite value"),
         (["singular-study", "--k-min", "26", "--k-max", "27"], None, 3,
          "numerical failure: 1 - cos(2**-27) rounds to 0 in double precision "
          "(k must be at most 26)"),

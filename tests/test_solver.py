@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -110,16 +111,6 @@ class TestCartesianSolve:
         i, j = np.unravel_index(np.argmax(np.abs(out.comp_u - fx)), (64, 64))
         r_at_max = np.hypot(X[i, j], Y[i, j])
         assert abs(r_at_max - disk.alpha) <= 2 * grid.dx
-
-    def test_sign_flip(self, cart32):
-        grid, tables = cart32
-        field = sample_density(D2Disk(), grid)
-        a = solve_cartesian(field, tables)
-        b = solve_cartesian(field, tables, sign_convention="repulsive")
-        np.testing.assert_array_equal(b.comp_u, -a.comp_u)
-        np.testing.assert_array_equal(b.comp_v, -a.comp_v)
-        assert a.flipped().sign_convention == "repulsive"
-        np.testing.assert_array_equal(a.flipped().comp_u, -a.comp_u)
 
     def test_grid_mismatch(self, cart32):
         _, tables = cart32
@@ -360,24 +351,10 @@ class TestTransformCounts:
         assert Counter(fft_calls) == {"rfft": 18, "fft": 9, "ifft": 4, "irfft": 2}
 
 
-@pytest.mark.parametrize("solve", [solve_cartesian, solve_polar, solve_softened_cartesian],
-                         ids=lambda f: f.__name__)
-def test_unknown_sign_convention_rejected(solve):
-    if solve is solve_polar:
-        grid = build_polar_grid(1.0, 8, 0.9)
-        args = (tabulate_polar_kernels(grid),)
-    else:
-        grid = build_cartesian_grid(1.0, 4)
-        args = (tabulate_cartesian_kernels(grid),) if solve is solve_cartesian else ()
-    with pytest.raises(ValueError, match="'atractive'"):
-        solve(sample_density(D2Disk(), grid), *args, sign_convention="atractive")
-
-
 class TestForceField:
-    def test_bad_convention(self):
-        grid = build_cartesian_grid(1.0, 4)
-        with pytest.raises(ValueError):
-            ForceField(grid, np.zeros((4, 4)), np.zeros((4, 4)), sign_convention="up")
+    def test_fields_are_grid_and_two_components(self):
+        # forces carry no sign convention: every solver returns attractive ones
+        assert [f.name for f in dataclasses.fields(ForceField)] == ["grid", "comp_u", "comp_v"]
 
     def test_polar_radial_is_the_first_component(self):
         grid = build_polar_grid(1.0, 8, 0.9)
