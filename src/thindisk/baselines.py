@@ -22,7 +22,7 @@ from .kernels_cartesian import KernelTables
 from .models import G, DensityField
 from .solver import FORCE_COMPONENTS, ForceField, assemble, finite
 
-SOFTENED_TERMS = ((0, "soft", "values", False),)
+SOFTENED_TERMS = ((0, "soft", "values"),)
 
 
 def complex_gamma(z):

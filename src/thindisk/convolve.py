@@ -5,16 +5,29 @@ non-periodic axes are zero-padded to twice their length so the circular
 product reproduces the aperiodic sum exactly; the polar azimuthal axis is
 genuinely periodic and needs no padding.  This module is the spectral layer
 of the package: the padded transform pair, the real-quadrant transform of
-parity-symmetric kernels and the spectral accumulator that the solver and
-fft_convolve share.  numpy.fft and scipy.fft are looked up per call, so code
-that wraps their functions sees every transform.  ``direct`` variants
-evaluate the literal quadruple sum and serve as the oracle for the fast path
-(and as the honest O(n^4) method in benchmarks).
+parity-symmetric kernels, the spectral accumulator that the solver and
+fft_convolve share, and the finiteness guard (finite) that polar
+tabulation and every solve run under.  numpy.fft and scipy.fft are looked
+up per call, so code that wraps their functions sees every transform.
+``direct`` variants evaluate the literal quadruple sum and serve as the
+oracle for the fast path (and as the honest O(n^4) method in benchmarks).
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.fft
+
+
+def finite(compute, *names) -> list:
+    """The arrays ``compute()`` returns, computed with overflow and invalid
+    warnings off; FloatingPointError naming (by ``names``) the first array
+    that holds inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays = compute()
+    for name, a in zip(names, arrays):
+        if not np.isfinite(a).all():
+            raise FloatingPointError(f"{name} holds a non-finite value")
+    return arrays
 
 
 def wrap_offsets(n: int) -> np.ndarray:

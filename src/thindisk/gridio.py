@@ -158,9 +158,11 @@ def cache_arrays(tables) -> dict:
 
 def save_kernel_tables(path, tables) -> None:
     """Uncompressed binary dump of a kernel-table set for reuse across runs,
-    keyed by the grid line of the field files."""
-    np.savez(path, version=np.array(_CACHE_VERSION), grid=np.array(_grid_header(tables.grid)),
-             **cache_arrays(tables))
+    keyed by the grid line of the field files, written to exactly ``path``
+    (np.savez given a name would append ``.npz``)."""
+    with open(path, "wb") as fh:
+        np.savez(fh, version=np.array(_CACHE_VERSION), grid=np.array(_grid_header(tables.grid)),
+                 **cache_arrays(tables))
 
 
 def load_kernel_tables(path, grid):

@@ -8,9 +8,12 @@ terms have exact double antiderivatives; the theta-slope kind is trapezoid
 based like the radial family.  Matching "hole" kernels integrate over the
 small disk [0, r_edges[0]] that the logarithmic rings never reach.
 
-All tables are dimensionless functions of the index offsets alone.  Radial
-scale factors (r_i on the slope terms) are applied at force-assembly time,
-see solver.py, which is also where the overall orientation sign lives.
+All tables are dimensionless functions of the index offsets alone.  The
+radial-slope kinds (RADIAL_KINDS) carry a target-radius factor r_i in the
+force; since r_i / r_src = ratio**-di depends on the offset alone, their
+spectra fold it into the table (spectrum, hole_spectrum) and the solver
+convolves the slope plane times r_src.  The tables stay unscaled, and the
+overall orientation sign lives in solver.py.
 
 The kind tags: "r0", "rr", "rt" build the radial force from (density,
 d/dr slope, d/dtheta slope); "t0", "tr", "tt" build the azimuthal force;
@@ -23,12 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolve import padded_rfft2, wrap_offsets
+from .convolve import finite, padded_rfft2, wrap_offsets
 from .grids import PolarGrid
 from .kernels_cartesian import _cached, _lattice_corners, _log_plus_hypot, _point_corners
 
 KINDS = ("r0", "rr", "rt", "t0", "tr", "tt")
 POTENTIAL_KINDS = ("p0", "pr", "pt")
+# the kinds whose force or potential term carries the target radius r_i
+RADIAL_KINDS = ("rr", "tr", "pr")
 
 
 class SingularEvaluationError(ValueError):
@@ -177,6 +182,13 @@ def _hole_correction(i, grid: PolarGrid):
     return grid.ratio ** np.asarray(i, dtype=float) / (1.0 + grid.ratio)
 
 
+def _radius_ratios(grid: PolarGrid):
+    """r_src / r_i as columns: ratio**di per wrap-layout ring-table row, and
+    r_h / r_i (the hole's representative radius) per hole-table row."""
+    return (np.power(grid.ratio, wrap_offsets(grid.n).astype(float))[:, None],
+            _hole_correction(np.arange(1, grid.n + 1), grid)[:, None])
+
+
 def eval_hole_kernel(kind: str, i, dj, grid: PolarGrid) -> np.ndarray:
     """Hole-cell kernel for absolute target ring i >= 1 and offset dj.
 
@@ -212,13 +224,18 @@ class PolarKernelTables:
     def hole_table(self, kind: str) -> np.ndarray:
         return self.hole_tables[kind]
 
+    def _folded(self, kind: str, hole: bool) -> np.ndarray:
+        """The ring or hole table, times r_i / r_src for RADIAL_KINDS."""
+        a = (self.hole_tables if hole else self.tables)[kind]
+        return a / _radius_ratios(self.grid)[hole] if kind in RADIAL_KINDS else a
+
     def spectrum(self, kind: str) -> np.ndarray:
-        a = self.tables[kind]
-        return _cached(self._cache, ("ring", kind), lambda: padded_rfft2(a, a.shape))
+        return _cached(self._cache, ("ring", kind),
+                       lambda: padded_rfft2(self._folded(kind, False), self.tables[kind].shape))
 
     def hole_spectrum(self, kind: str) -> np.ndarray:
         return _cached(self._cache, ("hole", kind),
-                       lambda: np.fft.rfft(self.hole_tables[kind], axis=1))
+                       lambda: np.fft.rfft(self._folded(kind, True), axis=1))
 
 
 def tabulate_polar_kernels(grid: PolarGrid, kinds=KINDS, threads: int = 1) -> PolarKernelTables:
@@ -229,19 +246,22 @@ def tabulate_polar_kernels(grid: PolarGrid, kinds=KINDS, threads: int = 1) -> Po
     antiderivative is evaluated once on the lattice of radial limits by
     trapezoid nodes (um at dj is up at dj + 1); tm stays b*tp, which differs
     from tp at di + 1 in the last bit.  Tables are bit-identical to
-    eval_polar_kernel and eval_hole_kernel; ``threads`` is ignored.
+    eval_polar_kernel and eval_hole_kernel; ``threads`` is ignored.  A grid
+    so stretched that a table holds inf or nan raises FloatingPointError
+    naming the first such kind.
     """
     n = grid.n
-    di = wrap_offsets(n)
-    tp, tm = _radial_limits(di, grid)
-    t = np.concatenate([tp, tm, [0.0]])     # ring limits, then the hole's inner one
-    chord = _chord(t[:, None], _theta_nodes(np.arange(n + 1), grid.dtheta)[0][None, :])
-    values = functools.cache(lambda f: f(*chord))
-    ring = _lattice_corners(values, slice(0, 2 * n), slice(2 * n, 4 * n))
-    # hole limits th(i) are the ring limits tp at di = i = 1..n
-    hole = _lattice_corners(values, slice(1, n + 1), slice(4 * n, None))
-    corr = np.power(grid.ratio, di.astype(float))[:, None]
-    hole_corr = _hole_correction(np.arange(1, n + 1), grid)[:, None]
-    tables = {k: _assemble(k, ring, corr, grid.dtheta) for k in kinds}
-    hole_tables = {k: _assemble(k, hole, hole_corr, grid.dtheta) for k in kinds}
-    return PolarKernelTables(grid=grid, tables=tables, hole_tables=hole_tables)
+
+    def tabulate():
+        tp, tm = _radial_limits(wrap_offsets(n), grid)
+        t = np.concatenate([tp, tm, [0.0]])     # ring limits, then the hole's inner one
+        chord = _chord(t[:, None], _theta_nodes(np.arange(n + 1), grid.dtheta)[0][None, :])
+        values = functools.cache(lambda f: f(*chord))
+        ring = _lattice_corners(values, slice(0, 2 * n), slice(2 * n, 4 * n))
+        # hole limits th(i) are the ring limits tp at di = i = 1..n
+        hole = _lattice_corners(values, slice(1, n + 1), slice(4 * n, None))
+        lattices = list(zip((ring, hole), _radius_ratios(grid)))
+        return [_assemble(k, *lattice, grid.dtheta) for k in kinds for lattice in lattices]
+
+    arrays = finite(tabulate, *(f"{k} {part} table" for k in kinds for part in ("ring", "hole")))
+    return PolarKernelTables(grid, dict(zip(kinds, arrays[::2])), dict(zip(kinds, arrays[1::2])))

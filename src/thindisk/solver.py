@@ -4,9 +4,11 @@ Every solver returns forces in the "attractive" convention: each component
 points toward mass, as in the analytic disk models of models.py, so
 numerical and analytic fields compare directly (``thindisk solve --sign
 repulsive`` negates them on output).  ``assemble`` is the one spectral
-recipe: a term table of (output, kernel kind, input plane, r_i factor) rows
-run over a tables object's kernels by zero-padded FFT or by direct
-summation, for the forces here and for baselines.softened_potential.  Note
+recipe: a term table of (output, kernel kind, input plane) rows run over a
+tables object's kernels by zero-padded FFT or by direct summation, for the
+forces here and for baselines.softened_potential.  The polar radial-slope
+terms (kernels_polar.RADIAL_KINDS) carry the target radius r_i: the direct
+sum multiplies by it, the FFT sum folds it into the kernel spectra.  Note
 the two polar kernel families come out of their defining integrals with
 opposite orientations (the radial family is outward-positive, the
 azimuthal family forward-positive); the radial flip happens here, not in
@@ -18,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import accumulate, cropped_ifft, cropped_irfft2, direct_convolve, \
+from .convolve import accumulate, cropped_ifft, cropped_irfft2, direct_convolve, finite, \
     padded_rfft2, ring_convolve_direct
 from .grids import CartesianGrid, PolarGrid
 from .kernels_cartesian import PARITY, KernelTables
-from .kernels_polar import POTENTIAL_KINDS, PolarKernelTables, tabulate_polar_kernels
+from .kernels_polar import POTENTIAL_KINDS, RADIAL_KINDS, PolarKernelTables, \
+    tabulate_polar_kernels
 from .models import DensityField
 
 
@@ -44,39 +47,28 @@ class ForceField:
         return self.grid.coords
 
     def radial(self) -> np.ndarray:
-        """Radial projection (x*Fx + y*Fy)/R on Cartesian grids; comp_u on polar."""
+        """Radial projection (x*Fx + y*Fy)/R on Cartesian grids, 0 at R = 0
+        (the center cell of an odd grid); comp_u on polar grids."""
         if self.coords == "polar":
             return self.comp_u
-        X, Y = self.grid.center_mesh()
-        return (X * self.comp_u + Y * self.comp_v) / np.hypot(X, Y)
+        x, y = self.grid.x_centers[:, None], self.grid.y_centers[None, :]
+        R = np.hypot(x, y)
+        return np.divide(x * self.comp_u + y * self.comp_v, R, out=R, where=R > 0)
 
 
 FORCE_COMPONENTS = ("force component comp_u", "force component comp_v")
 
-
-def finite(compute, *names) -> list:
-    """The arrays ``compute()`` returns, computed with overflow and invalid
-    warnings off; FloatingPointError naming (by ``names``) the first array
-    that holds inf or nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        arrays = compute()
-    for name, a in zip(names, arrays):
-        if not np.isfinite(a).all():
-            raise FloatingPointError(f"{name} holds a non-finite value")
-    return arrays
-
-
-# Term tables: a row (output, kernel kind, input plane, r_i factor) adds [r_i *]
-# conv(kind, plane) to an output; polar rows also run over the hole tables and rings.
+# Term tables: a row (output, kernel kind, input plane) adds conv(kind, plane) to an
+# output, times r_i for RADIAL_KINDS; polar rows also run over the hole tables and rings.
 CARTESIAN_TERMS = (
-    (0, "x0", "values", False), (0, "xx", "slope_u", False), (0, "xy", "slope_v", False),
-    (1, "y0", "values", False), (1, "yx", "slope_u", False), (1, "yy", "slope_v", False),
+    (0, "x0", "values"), (0, "xx", "slope_u"), (0, "xy", "slope_v"),
+    (1, "y0", "values"), (1, "yx", "slope_u"), (1, "yy", "slope_v"),
 )
 POLAR_TERMS = (
-    (0, "r0", "values", False), (0, "rr", "slope_u", True), (0, "rt", "slope_v", False),
-    (1, "t0", "values", False), (1, "tr", "slope_u", True), (1, "tt", "slope_v", False),
+    (0, "r0", "values"), (0, "rr", "slope_u"), (0, "rt", "slope_v"),
+    (1, "t0", "values"), (1, "tr", "slope_u"), (1, "tt", "slope_v"),
 )
-POTENTIAL_TERMS = ((0, "p0", "values", False), (0, "pr", "slope_u", True), (0, "pt", "slope_v", False))
+POTENTIAL_TERMS = ((0, "p0", "values"), (0, "pr", "slope_u"), (0, "pt", "slope_v"))
 
 
 def _direct_sums(terms, field: DensityField, tables) -> dict:
@@ -87,11 +79,18 @@ def _direct_sums(terms, field: DensityField, tables) -> dict:
         passes.append((tables.hole_table, "hole_", ring_convolve_direct))
     outs = {}
     for table, prefix, conv in passes:
-        for out, kind, plane, radial in terms:
+        for out, kind, plane in terms:
             term = conv(table(kind), getattr(field, prefix + plane))
-            term = grid.r_centers[:, None] * term if radial else term
+            term = grid.r_centers[:, None] * term if kind in RADIAL_KINDS else term
             outs[out] = outs[out] + term if out in outs else term
     return outs
+
+
+def _source(field: DensityField, prefix: str, plane: str, radial: bool) -> np.ndarray:
+    """A plane, or with prefix "hole_" a hole ring, times the source radius
+    if it feeds RADIAL_KINDS (whose spectra hold r_i / r_src)."""
+    a, grid = getattr(field, prefix + plane), field.grid
+    return (grid.hole_radius_mid if prefix else grid.r_centers[:, None]) * a if radial else a
 
 
 def _fft_sums(terms, field: DensityField, tables) -> dict:
@@ -103,41 +102,37 @@ def _fft_sums(terms, field: DensityField, tables) -> dict:
     # other kind) read
     parity = {} if polar else PARITY
     imaginary = {kind for kind, (r, c) in parity.items() if r * c < 0}
-    order = sorted(dict.fromkeys(p for _, _, p, _ in terms),
-                   key=lambda p: not any(r for _, _, q, r in terms if q == p))
-    # the plane after which each (output, r_i factor) accumulator is complete
-    last = {(o, r): p for p in order for o, _, q, r in terms if q == p}
-    kernels = {kind: tables.spectrum(kind) for _, kind, _, _ in terms}
-    # a hole sum is a circular theta-convolution and the r_i factor scales
-    # whole rows: both commute with the theta inverse, one per polar output
-    rings = {p: np.fft.rfft(getattr(field, "hole_" + p)) for p in order} if polar else {}
-    accs, outs = {}, {}
-    for plane in order:
-        rows = [(out, kind, radial) for out, kind, q, radial in terms if q == plane]
-        products = [((out, radial), kernels[kind], parity.get(kind, (1, 1))[0])
-                    for out, kind, radial in rows]
-        accumulate(accs, products, padded_rfft2(getattr(field, plane), shape),
-                   any(kind in imaginary for _, kind, _ in rows))
-        for out, radial in [k for k, p in last.items() if p == plane]:
-            spec = (cropped_ifft(accs.pop((out, radial)), n) if polar
-                    else cropped_irfft2(accs.pop((out, radial)), shape, n, n))
-            for o, kind, q, r in terms:
-                if polar and (o, r) == (out, radial):
-                    spec += tables.hole_spectrum(kind) * rings[q]
-            spec = grid.r_centers[:, None] * spec if radial else spec
-            outs[out] = outs[out] + spec if out in outs else spec
-    return {o: np.fft.irfft(s, n=n, axis=1) for o, s in outs.items()} if polar else outs
+    kernels = {kind: (tables.spectrum(kind), parity.get(kind, (1, 1))[0]) for _, kind, _ in terms}
+    # each row reads the _source of its plane; each source is transformed once
+    rows = [(out, kind, (plane, kind in RADIAL_KINDS)) for out, kind, plane in terms]
+    sources = dict.fromkeys(key for _, _, key in rows)
+    accs = {}
+    for key in sources:
+        reads = [(out, kind) for out, kind, k in rows if k == key]
+        accumulate(accs, [(out, *kernels[kind]) for out, kind in reads],
+                   padded_rfft2(_source(field, "", *key), shape),
+                   any(kind in imaginary for _, kind in reads))
+    if not polar:
+        return {out: cropped_irfft2(accs.pop(out), shape, n, n) for out in list(accs)}
+    # a hole sum is a circular theta-convolution: it joins its output's theta
+    # spectrum between the radial inverse and the one theta inverse
+    rings = {key: np.fft.rfft(_source(field, "hole_", *key)) for key in sources}
+    specs = {out: cropped_ifft(acc, n) for out, acc in accs.items()}
+    for out, kind, key in rows:
+        specs[out] += tables.hole_spectrum(kind) * rings[key]
+    return {out: np.fft.irfft(spec, n=n, axis=1) for out, spec in specs.items()}
 
 
 def assemble(terms, field: DensityField, tables, backend: str = "fft") -> list:
     """Run a term table; one (n, n) array per output, in output order.
 
-    "direct" convolves term by term (the O(n^4) oracle) and sums in table
-    order, plane terms before hole-ring terms.  "fft" gets the kernel
-    spectra, transforms each input once (r_i-group planes first) into
-    per-(output, r_i factor) accumulators, and inverts each after its last
-    input: polar ones along r only, adding hole-ring products and the r_i
-    factor to their theta spectra before one theta inverse per output."""
+    "direct" convolves term by term (the O(n^4) oracle), multiplies the
+    RADIAL_KINDS terms by r_i and sums in table order, plane terms before
+    hole-ring terms.  "fft" transforms each input once into one spectral
+    accumulator per output and inverts each accumulator once: polar ones
+    along r only, adding the hole-ring products to their theta spectra before
+    one theta inverse per output.  It reads an input of RADIAL_KINDS rows
+    times the source radius, their kernel spectra holding r_i / r_src."""
     outs = {"fft": _fft_sums, "direct": _direct_sums}[backend](terms, field, tables)
     return [outs[k] for k in sorted(outs)]
 
@@ -164,9 +159,11 @@ def solve_cartesian_direct(field: DensityField, tables: KernelTables) -> ForceFi
 def solve_polar(field: DensityField, tables: PolarKernelTables) -> ForceField:
     """Radial and azimuthal forces with ring and hole-cell contributions.
 
-    The radial-slope terms carry an external r_i factor; the azimuthal force
-    needs no 1/r_i prefactor because it cancels against the kernel's own
-    scale, leaving pure offset convolutions.
+    The radial-slope terms carry a target-radius factor r_i, and on the
+    geometric grid r_i / r_src depends on the offset alone: the kernel
+    spectra hold it and the slope planes are read times r_src, so every sum
+    stays a pure offset convolution.  The azimuthal force needs no 1/r_i
+    prefactor because it cancels against the kernel's own scale.
     """
     return _force(POLAR_TERMS, field, tables, "fft")
 

@@ -47,6 +47,18 @@ class TestNorms:
         for b, sc in zip(base, scaled):
             assert sc == pytest.approx(s * b, rel=1e-12)
 
+    @pytest.mark.parametrize("coords", ["cartesian", "polar"])
+    def test_l2_scaled_before_squaring(self, coords):
+        g = build_cartesian_grid(1.0, 33) if coords == "cartesian" else \
+            build_polar_grid(1.0, 33, 0.9)
+        w = g.cell_area if coords == "cartesian" else g.cell_areas()[:, None]
+        d = np.random.default_rng(3).standard_normal((33, 33))
+        assert array_norms(d, g)[1] == pytest.approx(np.sqrt(np.sum(d**2 * w)), rel=1e-15)
+        # squares of 1e300 would overflow; the norm itself does not
+        e2 = array_norms(1e300 * d, g)[1]
+        assert np.isfinite(e2) and e2 == pytest.approx(1e300 * array_norms(d, g)[1], rel=1e-15)
+        assert array_norms(np.zeros((33, 33)), g) == (0.0, 0.0, 0.0)
+
     def test_grid_mismatch(self):
         g1 = build_cartesian_grid(1.0, 8)
         g2 = build_cartesian_grid(1.0, 16)

@@ -56,13 +56,43 @@ class TestSolve:
         b = read_force(tmp_path / "f1.txt")
         np.testing.assert_allclose(a.comp_u, b.comp_u, rtol=1e-12)
 
-    def test_kernel_cache_reuse(self, tmp_path):
-        cache = tmp_path / "k.npz"
-        for _ in range(2):
-            code = main(["solve", "--N", "12", "--kernel-cache", str(cache),
-                         "--out", str(tmp_path / "f.txt"), "--threads", "1"])
-            assert code == 0
-        assert cache.exists()
+    def test_kernel_cache_reuse(self, tmp_path, monkeypatch):
+        # the cache lands at exactly the given path, so the second run loads it
+        from thindisk import cli
+        tabulate = cli.tabulate_kernels
+        for name in ("k.npz", "k.cache"):
+            monkeypatch.setattr(cli, "tabulate_kernels", tabulate)
+            cache = tmp_path / name
+            for _ in range(2):
+                code = main(["solve", "--N", "12", "--kernel-cache", str(cache),
+                             "--out", str(tmp_path / "f.txt"), "--threads", "1"])
+                assert code == 0
+                monkeypatch.setattr(cli, "tabulate_kernels",
+                                    lambda grid: pytest.fail("tabulated despite the cache"))
+            assert cache.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt", "k.cache", "k.npz"]
+
+    def test_kernels_writes_the_given_path(self, tmp_path, capsys):
+        cache = tmp_path / "k.cache"
+        assert main(["kernels", "--N", "12", "--out", str(cache)]) == 0
+        assert capsys.readouterr().err == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["k.cache"]
+        assert main(["solve", "--N", "12", "--kernel-cache", str(cache),
+                     "--out", str(tmp_path / "f.txt")]) == 0
+
+    @pytest.mark.parametrize("argv", [["--N", "33"], ["--N", "33", "--method", "softening"],
+                                      ["--method", "softening", "--M", "1000", "--N", "16",
+                                       "--sigma0", "1e305"]], ids=["odd", "odd-soft", "huge"])
+    def test_error_norms_finite(self, tmp_path, capsys, argv):
+        # R = 0 at the center of an odd grid; forces near 1e300 square past
+        # the double range: neither shows up as nan, inf or a warning
+        assert main(["solve", *argv, "--out", str(tmp_path / "f.txt")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        norms = [line for line in captured.out.splitlines() if line.startswith("F_")]
+        assert [line.split(":")[0] for line in norms] == ["F_x", "F_y", "F_R"]
+        values = [float(v.split("=")[1]) for line in norms for v in line.split()[1:]]
+        assert len(values) == 9 and np.isfinite(values).all()
 
     def test_truncated_kernel_cache_exits_2(self, tmp_path, capsys):
         cache = tmp_path / "k.npz"
@@ -248,6 +278,11 @@ class TestBadInput:
         # cell masses past the double range (sigma0 * dx^2 with dx = 125)
         (["solve", "--method", "softening", "--M", "1000", "--alpha", "900", "--N", "16",
           "--sigma0", "1e305"], None, 3, "numerical failure: cell mass holds a non-finite value"),
+        # radial ratio ~ 1e-3: the polar kernel tables overflow
+        (["solve", "--coords", "polar", "--N", "64", "--beta0", "0.001"], None, 3,
+         "numerical failure: rr ring table holds a non-finite value"),
+        (["kernels", "--coords", "polar", "--N", "64", "--beta0", "0.001"], None, 3,
+         "numerical failure: rr ring table holds a non-finite value"),
         (["singular-study", "--k-min", "26", "--k-max", "27"], None, 3,
          "numerical failure: 1 - cos(2**-27) rounds to 0 in double precision "
          "(k must be at most 26)"),

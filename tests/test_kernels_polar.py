@@ -169,6 +169,16 @@ class TestTables:
         for kind in KINDS + POTENTIAL_KINDS:
             np.testing.assert_array_equal(a.table(kind), b.table(kind))
             np.testing.assert_array_equal(a.hole_table(kind), b.hole_table(kind))
+            # so are the spectra, whose radial-slope kinds hold r_i / r_src
+            np.testing.assert_array_equal(a.spectrum(kind), b.spectrum(kind))
+            np.testing.assert_array_equal(a.hole_spectrum(kind), b.hole_spectrum(kind))
+
+    def test_overflowing_tables_raise(self):
+        # ratio ~ 1e-3: the far radial limits reach 1e189 and their squares overflow;
+        # refused without a numpy warning, naming the first bad kind
+        grid = build_polar_grid(1.0, 64, 0.001)
+        with pytest.raises(FloatingPointError, match="^rr ring table holds a non-finite value$"):
+            tabulate_polar_kernels(grid)
 
     def test_threaded_tabulation_matches(self):
         g = build_polar_grid(1.0, 64, 0.99)
