@@ -84,15 +84,18 @@ def accumulate(accs: dict, products, spec: np.ndarray, imaginary: bool) -> None:
     """accs[key] += kernel * spec for each (key, kernel, row_sign) of
     products (one per key), spec first multiplied by 1j if imaginary; a new
     accumulator starts at its product.  spec is swept once, in blocks of at
-    least 64 rows and 2**15 entries that serve every product while in cache:
-    no spectrum-sized temporary.  A kernel of m < len(spec) rows is a
-    parity_rfft2 quadrant: row i >= m of the spectrum it stands for is its
-    row len(spec) - i times row_sign."""
+    least 64 rows and 2**15 entries that serve every product while in cache.
+    A product is written straight into a new accumulator's block (then
+    negated in place if its sign is -1) or into one block buffer reused for
+    every product: no temporary per product and none of spectrum size.  A
+    kernel of m < len(spec) rows is a parity_rfft2 quadrant: row i >= m of
+    the spectrum it stands for is its row len(spec) - i times row_sign."""
     rows = len(spec)
     fresh = [key for key, _, _ in products if key not in accs]
     for key in fresh:
         accs[key] = np.empty(spec.shape, complex)
     step = max(64, 2**15 // spec.shape[1])
+    buffer = np.empty((min(step, rows), spec.shape[1]), complex)
     m = min(len(kernel) for _, kernel, _ in products)
     bounds = [*range(0, m, step), *range(m, rows, step), rows]
     for start, stop in zip(bounds, bounds[1:]):
@@ -101,16 +104,17 @@ def accumulate(accs: dict, products, spec: np.ndarray, imaginary: bool) -> None:
             block *= 1j
         for key, kernel, row_sign in products:
             if start < len(kernel):
-                term, sign = kernel[start:stop] * block, 1
+                kernel_rows, sign = kernel[start:stop], 1
             else:
-                term, sign = kernel[rows - start:rows - stop:-1] * block, row_sign
+                kernel_rows, sign = kernel[rows - start:rows - stop:-1], row_sign
             acc = accs[key][start:stop]
             if key in fresh:
-                np.multiply(term, sign, out=acc)
-            elif sign > 0:
-                acc += term
+                np.multiply(kernel_rows, block, out=acc)
+                if sign < 0:
+                    np.negative(acc, out=acc)
             else:
-                acc -= term
+                term = np.multiply(kernel_rows, block, out=buffer[:stop - start])
+                (np.add if sign > 0 else np.subtract)(acc, term, out=acc)
 
 
 def _padded_shape(kernel: np.ndarray, field: np.ndarray, pad_axes) -> tuple:

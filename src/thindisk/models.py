@@ -27,7 +27,11 @@ class D2Disk:
 
     Density, potential on the midplane and radial force all have closed
     forms; the potential/force pair is continuous (and once differentiable
-    for the potential) across the rim R = alpha.
+    for the potential) across the rim R = alpha.  ``density`` and
+    ``density_gradient`` evaluate their closed forms only on the support
+    (R^2 < alpha^2, or R^2 NaN) once it is at most half the points: outside
+    it the density is +0.0 and each gradient component is (-0.0)*x, the
+    values the closed forms take there.
     """
 
     alpha: float = 0.25
@@ -46,17 +50,43 @@ class D2Disk:
     def mass(self) -> float:
         return 2.0 * np.pi * self.sigma0 * self.alpha**2 / 5.0
 
+    def _profile(self, profile, x, y, scratch=None) -> np.ndarray:
+        """``profile(w)`` at the points (x, y), w = max(1 - R^2/alpha^2, 0).
+
+        R^2 is formed in one new array of the points' broadcast shape, with
+        y*y in ``scratch`` (an array of that shape, overwritten) or in a
+        temporary.  When the support holds at most half the points, w and
+        ``profile`` are evaluated there alone and the rest of that array
+        reads ``profile(0.0)``: this skips pow(0, 1.5), libm's slow path, on
+        the cells a small disk leaves empty.  On a denser support the gather
+        and scatter would cost more than they save, so w is formed in that
+        array at every point."""
+        r2 = np.multiply(x, x, out=np.empty(np.broadcast_shapes(x.shape, y.shape)))
+        r2 += np.multiply(y, y, out=scratch)
+        a2 = self.alpha**2
+        inside = ~(r2 >= a2)        # NaN points are inside
+        if 2 * np.count_nonzero(inside) > r2.size:
+            np.divide(r2, a2, out=r2)
+            np.subtract(1.0, r2, out=r2)
+            np.maximum(r2, 0.0, out=r2)
+            # r2[()] is a scalar for 0-d points, which keeps numpy's scalar
+            # pow: its last bit can differ from the array loop's
+            return profile(r2[()])
+        w = np.maximum(1.0 - r2[inside] / a2, 0.0)
+        r2.fill(profile(0.0))
+        r2[inside] = profile(w)
+        return r2
+
     def density(self, x, y) -> np.ndarray:
-        r2 = _as_array(x) ** 2 + _as_array(y) ** 2
-        w = np.maximum(1.0 - r2 / self.alpha**2, 0.0)
-        return self.sigma0 * w**1.5
+        return self._profile(lambda w: self.sigma0 * w**1.5, _as_array(x), _as_array(y))
 
     def density_gradient(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        x = _as_array(x)
-        y = _as_array(y)
-        w = np.maximum(1.0 - (x * x + y * y) / self.alpha**2, 0.0)
-        c = -3.0 * self.sigma0 * np.sqrt(w) / self.alpha**2
-        return c * x, c * y
+        x, y = _as_array(x), _as_array(y)
+        gy = np.empty(np.broadcast_shapes(x.shape, y.shape))
+        c = self._profile(lambda w: -3.0 * self.sigma0 * np.sqrt(w) / self.alpha**2, x, y, gy)
+        np.multiply(c, y, out=gy)
+        # c is a new array of the points' shape, or a scalar for 0-d points
+        return np.multiply(c, x, out=c) if np.ndim(c) else c * x, gy
 
     def radial_force(self, r) -> np.ndarray:
         """In-plane radial force (attractive, so negative for 0 < R)."""
@@ -221,11 +251,14 @@ class DensityField:
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} holds a non-finite value")
 
+    def planes(self) -> dict:
+        """Each per-cell array and, on polar grids, each hole ring, by name."""
+        names = [prefix + p for prefix in ("", "hole_") for p in PLANES]
+        return {k: getattr(self, k) for k in names if getattr(self, k) is not None}
+
     def scaled(self, factor: float) -> "DensityField":
         """Field with every value and slope multiplied by ``factor``."""
-        names = [prefix + p for prefix in ("", "hole_") for p in PLANES]
-        return replace(self, **{k: factor * getattr(self, k) for k in names
-                                if getattr(self, k) is not None})
+        return replace(self, **{k: factor * a for k, a in self.planes().items()})
 
 
 def eval_density(model, x, y) -> np.ndarray:
@@ -276,8 +309,16 @@ def polar_points(grid: PolarGrid) -> tuple:
 
 
 def to_polar(vx, vy, cos, sin) -> tuple:
-    """The radial and azimuthal parts of the vector (vx, vy)."""
-    return vx * cos + vy * sin, -vx * sin + vy * cos
+    """The radial and azimuthal parts, vx*cos + vy*sin and -vx*sin + vy*cos,
+    of the vector (vx, vy): two new arrays and one scratch array."""
+    u = vx * cos
+    v = vy * sin
+    u += v
+    scratch = np.multiply(vy, cos)
+    np.negative(vx, out=v)
+    v *= sin
+    v += scratch
+    return u, v
 
 
 def differenced_field(grid: CartesianGrid | PolarGrid, values: np.ndarray, hole_values=None,
@@ -302,7 +343,10 @@ def sample_density(model, grid: CartesianGrid | PolarGrid, slopes: str = "auto")
     central differences; "analytic" and "central-difference" force the mode.
     Polar sampling evaluates the model once on the mesh of ``polar_points``,
     which fills the hole-cell ring at its representative radius, and rotates
-    the slopes into (d/dr, d/dtheta) components.
+    the slopes into (d/dr, d/dtheta) components, scaling d/dtheta by r in
+    place.  D2Disk and D2PairDisk evaluate their closed forms only on a
+    sparse support (see D2Disk), so sampling a small disk costs a few cheap
+    passes over the mesh and gives the arrays a dense evaluation gives.
     """
     if slopes == "auto":
         slopes = "analytic" if getattr(model, "has_analytic_slopes", False) else "central-difference"
@@ -321,7 +365,8 @@ def sample_density(model, grid: CartesianGrid | PolarGrid, slopes: str = "auto")
     su, sv = model.density_gradient(X, Y)
     if not polar:
         return DensityField(grid, vals, np.asarray(su, float), np.asarray(sv, float))
+    del X, Y        # two planes fewer at the rotation, the peak of a polar sample
     su, sv = to_polar(su, sv, cos, sin)
-    sv = r * sv
+    np.multiply(r, sv, out=sv)
     return DensityField(grid, vals, su[1:], sv[1:], hole_values=hole_vals,
                         hole_slope_u=su[0], hole_slope_v=sv[0])

@@ -118,8 +118,9 @@ def _fft_sums(terms, field: DensityField, tables) -> dict:
     # spectrum between the radial inverse and the one theta inverse
     rings = {key: np.fft.rfft(_source(field, "hole_", *key)) for key in sources}
     specs = {out: cropped_ifft(acc, n) for out, acc in accs.items()}
+    product = np.empty_like(specs[rows[0][0]])
     for out, kind, key in rows:
-        specs[out] += tables.hole_spectrum(kind) * rings[key]
+        specs[out] += np.multiply(tables.hole_spectrum(kind), rings[key], out=product)
     return {out: np.fft.irfft(spec, n=n, axis=1) for out, spec in specs.items()}
 
 
@@ -142,7 +143,7 @@ def _force(terms, field: DensityField, tables, backend: str) -> ForceField:
         raise ValueError("density field and kernel tables were built on different grids")
     u, v = finite(lambda: assemble(terms, field, tables, backend), *FORCE_COMPONENTS)
     if field.grid.coords == "polar":
-        u = -u      # radial family orientation: its integrand is outward-positive
+        np.negative(u, out=u)   # radial family orientation: its integrand is outward-positive
     return ForceField(field.grid, u, v)
 
 
@@ -179,8 +180,12 @@ def polar_potential(field: DensityField, tables: PolarKernelTables | None = None
     Uses the potential-kernel family (exact radial antiderivatives,
     two-node trapezoid in theta) with density and slope terms plus the hole
     ring; returns shape (n, n).  Tables are tabulated on demand when not
-    supplied with the potential kinds included.  A result holding inf or nan
-    raises FloatingPointError.
+    supplied with the potential kinds included.  The field is assembled
+    scaled by 2**-e, e the binary exponent of its largest magnitude, and the
+    result scaled back: powers of two scale exactly, and the unnormalized
+    spectral products, which would leave the double range long before the
+    potential does, stay near the kernels' own scale.  A result holding inf
+    or nan raises FloatingPointError.
     """
     grid = field.grid
     if grid.coords != "polar":
@@ -188,4 +193,7 @@ def polar_potential(field: DensityField, tables: PolarKernelTables | None = None
     if tables is None or any(k not in tables.tables for k in POTENTIAL_KINDS):
         tables = tabulate_polar_kernels(grid, kinds=POTENTIAL_KINDS)
     r = grid.r_centers[:, None]
-    return finite(lambda: [-r * assemble(POTENTIAL_TERMS, field, tables)[0]], "potential")[0]
+    _, e = np.frexp(max(np.abs(a).max() for a in field.planes().values()))
+    unit = field.scaled(np.ldexp(1.0, -e))
+    return finite(lambda: [np.ldexp(-r * assemble(POTENTIAL_TERMS, unit, tables)[0], e)],
+                  "potential")[0]

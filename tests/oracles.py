@@ -1,11 +1,38 @@
-"""Independent oracles: quadrature for the kernel closed forms and a
-complex-transform convolution for the real-transform FFT path.
+"""Independent oracles: quadrature for the kernel closed forms, a
+complex-transform convolution for the real-transform FFT path, and the D2
+disk's closed forms evaluated densely at every point.
 
 The quadrature oracles integrate the defining cell integrals adaptively and
 stay deliberately independent of the antiderivative code they check.
 """
 import numpy as np
 from scipy.integrate import quad
+
+
+def d2_density(disk, x, y):
+    """D2Disk density, its closed form evaluated at every point."""
+    r2 = np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2
+    w = np.maximum(1.0 - r2 / disk.alpha**2, 0.0)
+    return disk.sigma0 * w**1.5
+
+
+def d2_density_gradient(disk, x, y):
+    """D2Disk density gradient, its closed form evaluated at every point."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = np.maximum(1.0 - (x * x + y * y) / disk.alpha**2, 0.0)
+    c = -3.0 * disk.sigma0 * np.sqrt(w) / disk.alpha**2
+    return c * x, c * y
+
+
+def d2_pair(form, pair, x, y):
+    """``form`` (d2_density or d2_density_gradient) of a D2PairDisk, whose
+    alpha and sigma0 its two disks share: the running sum from 0.0 over the
+    disks at (+offset, 0) and (-offset, 0)."""
+    total = 0.0
+    for dx0 in (pair.offset, -pair.offset):
+        total = total + np.asarray(form(pair, np.asarray(x, dtype=float) - dx0, y))
+    return total
 
 
 def _nested_quad(f, ulims, vlims, eps=1e-12):

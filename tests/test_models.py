@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import d2_density, d2_density_gradient, d2_pair
 from thindisk import (CallableModel, D2Disk, D2PairDisk, LogSpiralDisk,
                       build_cartesian_grid, build_polar_grid, eval_density,
                       sample_density)
@@ -85,6 +89,76 @@ class TestD2Closed:
             D2Disk(sigma0=0.0)
 
 
+# half-widths, in units of alpha, of the column x row meshes whose share of
+# points inside the disk is about 1 %, 40 % and 97 %
+MESH_HALF_WIDTH = {0.01: 8.9, 0.4: 1.4, 0.97: 0.73}
+
+
+@st.composite
+def d2_points(draw):
+    """(alpha, sigma0, offset, x, y) for the D2 closed forms: 0-d scalars,
+    flat arrays or a column x row broadcast, with about 1 %, 40 % or 97 % of
+    the points inside the disk, and among them points with R^2 == alpha^2,
+    R^2 a few ulps either side of it, NaN and +-inf coordinates."""
+    alpha = draw(st.floats(0.05, 2.0))
+    sigma0 = draw(st.floats(0.1, 10.0))
+    offset = draw(st.floats(0.0, alpha))
+    fill = draw(st.sampled_from(sorted(MESH_HALF_WIDTH)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.uniform(0.0, 2 * np.pi, 4)
+    rim_x, rim_y = alpha * np.cos(t), alpha * np.sin(t)
+    specials = [(alpha, 0.0), (0.0, -alpha), (-alpha, -0.0), (np.nan, 0.1), (0.0, np.inf),
+                (-np.inf, np.nan), (np.inf, -np.inf),
+                *zip(rim_x, rim_y), *zip(np.nextafter(rim_x, 0.0), rim_y),
+                *zip(np.nextafter(rim_x, 2 * rim_x), rim_y)]
+    layout = draw(st.sampled_from(["scalar", "flat", "column-row"]))
+    if layout == "scalar":
+        x, y = specials[rng.integers(len(specials))] if rng.random() < 0.5 else \
+            rng.uniform(-1.5 * alpha, 1.5 * alpha, 2)
+        return alpha, sigma0, offset, np.float64(x), float(y)
+    if layout == "flat":
+        n = 300
+        inside = rng.random(n) < fill
+        r = alpha * np.where(inside, np.sqrt(rng.random(n)), 1.0 + 3.0 * rng.random(n) + 1e-9)
+        t = rng.uniform(0.0, 2 * np.pi, n)
+        x, y = r * np.cos(t), r * np.sin(t)
+        at = rng.choice(n, len(specials), replace=False)
+        x[at], y[at] = np.transpose(specials)
+        return alpha, sigma0, offset, x.reshape(20, 15), y.reshape(20, 15)
+    h = MESH_HALF_WIDTH[fill] * alpha
+    x = rng.uniform(-h, h, (24, 1))
+    y = rng.uniform(-h, h, (1, 17))
+    x[:5, 0] = alpha, np.nan, np.inf, rim_x[0], np.nextafter(rim_x[0], 0.0)
+    y[0, :5] = 0.0, -np.inf, 0.5 * alpha, rim_y[0], -np.nan
+    return alpha, sigma0, offset, x, y
+
+
+def _assert_same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestD2SupportSampling:
+    """D2Disk evaluates its closed forms on the support alone; every value,
+    sign bit and NaN must match the forms evaluated at every point."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(d2_points())
+    def test_matches_dense_closed_forms(self, case):
+        alpha, sigma0, offset, x, y = case
+        disk, pair = D2Disk(alpha, sigma0), D2PairDisk(alpha, sigma0, offset)
+        with np.errstate(invalid="ignore"):     # (-0.0) * inf outside the disk
+            _assert_same(disk.density(x, y), d2_density(disk, x, y))
+            _assert_same(pair.density(x, y), d2_pair(d2_density, pair, x, y))
+            for got, want in zip(disk.density_gradient(x, y), d2_density_gradient(disk, x, y)):
+                _assert_same(got, want)
+            for got, want in zip(pair.density_gradient(x, y),
+                                 d2_pair(d2_density_gradient, pair, x, y)):
+                _assert_same(got, want)
+
+
 class TestLogSpiral:
     disk = LogSpiralDisk()
 
@@ -158,6 +232,24 @@ class TestSampling:
                 want = 0.0 + a + b
                 np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("coords, model, mib", [
+        ("cartesian", D2Disk, 14.01), ("polar", D2Disk, 16.11),
+        ("cartesian", D2PairDisk, 20.01), ("polar", D2PairDisk, 20.06)])
+    def test_peak_memory(self, coords, model, mib):
+        # the traced peak of one N=512 sample before support-only D2 forms:
+        # no full-size temporary may come back
+        grid = (build_polar_grid(1.0, 512, 0.99) if coords == "polar"
+                else build_cartesian_grid(1.0, 512))
+        model = model()
+        sample_density(model, grid)
+        tracemalloc.start()
+        try:
+            sample_density(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
 
     def test_polar_sampling_carries_hole_ring(self):
         grid = build_polar_grid(1.0, 16, 0.9)

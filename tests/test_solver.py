@@ -212,17 +212,30 @@ class TestPolarPotential:
         with pytest.raises(ValueError):
             polar_potential(_zero_field(grid))
 
-    def test_overflowing_potential_raises(self):
-        # the same guard as the force solves: no numpy warning, a refused
-        # result.  The potential's spectral products overflow from about 1e302
-        # here (p0 entries reach 404), earlier than the forces' 1e307.
+    def test_potential_holds_the_force_range(self):
+        # unscaled, the potential's spectral products (p0 entries reach 404)
+        # overflowed from about 1e302 here, while the forces hold to 1e305;
+        # assembled at unit scale, the potential scales with the density
         grid = build_polar_grid(1.0, 16, 0.99)
         field = sample_density(D2Disk(), grid)
         tables = tabulate_polar_kernels(grid, kinds=POTENTIAL_KINDS)
-        assert np.isfinite(polar_potential(field.scaled(1e300), tables)).all()
-        for scale in (1e305, 1e307):
-            with pytest.raises(FloatingPointError, match="^potential holds a non-finite value$"):
-                polar_potential(field.scaled(scale), tables)
+        phi = polar_potential(field, tables)
+        np.testing.assert_array_equal(
+            phi, -grid.r_centers[:, None] * assemble(POTENTIAL_TERMS, field, tables)[0])
+        for scale in (1e303, 1e305):
+            scaled = polar_potential(field.scaled(scale), tables)
+            assert np.abs(scaled - scale * phi).max() < 1e-12 * scale * np.abs(phi).max()
+
+    def test_overflowing_potential_raises(self):
+        # the same guard as the force solves: no numpy warning, a refused
+        # result, now only once the potential itself leaves the double range
+        # (|phi| reaches 3.7 where this field's planes reach 1.44)
+        grid = build_polar_grid(1.0, 16, 0.99)
+        field = sample_density(D2Disk(alpha=1.0), grid)
+        tables = tabulate_polar_kernels(grid, kinds=POTENTIAL_KINDS)
+        assert np.isfinite(polar_potential(field.scaled(1e307), tables)).all()
+        with pytest.raises(FloatingPointError, match="^potential holds a non-finite value$"):
+            polar_potential(field.scaled(1e308), tables)
 
 
 def _rel_diff(a, b):
