@@ -12,14 +12,15 @@ compares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 from scipy.integrate import quad
 
 from .baselines import SofteningConfig, solve_softened_cartesian
-from .grids import CartesianGrid, PolarGrid, build_cartesian_grid, build_polar_grid
-from .kernels_cartesian import tabulate_cartesian_kernels
-from .kernels_polar import tabulate_polar_kernels
+from .grids import CartesianGrid, PolarGrid, build_cartesian_grid, build_grid, grid_type
+from .kernels_cartesian import KINDS as CARTESIAN_KINDS, tabulate_cartesian_kernels
+from .kernels_polar import KINDS as POLAR_KINDS, tabulate_polar_kernels
 from .models import DensityField, polar_points, sample_density, to_polar
 from .solver import ForceField, solve_cartesian, solve_polar
 
@@ -33,11 +34,18 @@ def csv_text(header, rows) -> str:
     return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
+def kernel_family(grid) -> tuple:
+    """The force kernels of the grid's geometry: (tabulator, FFT solver,
+    kernel kinds).  The functions are read from this module's globals at
+    each call, so a wrapper set on them here sees every use."""
+    if grid.coords == "cartesian":
+        return tabulate_cartesian_kernels, solve_cartesian, CARTESIAN_KINDS
+    return tabulate_polar_kernels, solve_polar, POLAR_KINDS
+
+
 def tabulate_kernels(grid):
     """The force kernel tables for the grid's geometry."""
-    if grid.coords == "cartesian":
-        return tabulate_cartesian_kernels(grid)
-    return tabulate_polar_kernels(grid)
+    return kernel_family(grid)[0](grid)
 
 
 def solve_field(field: DensityField, method: str = "proposed", tables=None,
@@ -53,9 +61,8 @@ def solve_field(field: DensityField, method: str = "proposed", tables=None,
         raise ValueError(f"unknown method {method!r}")
     if epsilon is not None:
         raise ValueError("epsilon is the softening length; the proposed method takes none")
-    tables = tabulate_kernels(field.grid) if tables is None else tables
-    solve = solve_cartesian if field.grid.coords == "cartesian" else solve_polar
-    return solve(field, tables)
+    solve = kernel_family(field.grid)[1]
+    return solve(field, tabulate_kernels(field.grid) if tables is None else tables)
 
 
 def array_norms(diff: np.ndarray, grid: CartesianGrid | PolarGrid):
@@ -81,22 +88,15 @@ def array_norms(diff: np.ndarray, grid: CartesianGrid | PolarGrid):
 def error_norms(numeric: ForceField, exact: ForceField, grid=None):
     """Per-component (L1, L2, Linf) between two force fields.
 
-    Returns {"x": ..., "y": ..., "R": ...} on Cartesian grids and
-    {"r": ..., "theta": ...} on polar grids.
+    Keyed by ``grid.components``: {"x": ..., "y": ..., "R": ...} on
+    Cartesian grids and {"r": ..., "theta": ...} on polar grids.
     """
     grid = numeric.grid if grid is None else grid
     if numeric.grid != grid or exact.grid != grid:
         raise ValueError("force fields live on different grids")
-    if grid.coords == "cartesian":
-        return {
-            "x": array_norms(numeric.comp_u - exact.comp_u, grid),
-            "y": array_norms(numeric.comp_v - exact.comp_v, grid),
-            "R": array_norms(numeric.radial() - exact.radial(), grid),
-        }
-    return {
-        "r": array_norms(numeric.comp_u - exact.comp_u, grid),
-        "theta": array_norms(numeric.comp_v - exact.comp_v, grid),
-    }
+    # a polar grid names two components, so it never forms the projection
+    parts = (attrgetter("comp_u"), attrgetter("comp_v"), ForceField.radial)
+    return {c: array_norms(p(numeric) - p(exact), grid) for c, p in zip(grid.components, parts)}
 
 
 def order_of_accuracy(e_coarse: float, e_fine: float) -> float:
@@ -201,16 +201,13 @@ def _analytic_force(model, grid) -> ForceField:
     return ForceField(grid, *to_polar(*model.force_xy(X[1:], Y[1:]), cos, sin))
 
 
-COMPONENTS = {"cartesian": ("x", "y", "R"), "polar": ("r", "theta")}
-
-
-def _report(method, model, coords, n_values, rows, metadata, scale=(1.0, 1.0, 1.0)):
-    """A ConvergenceReport of one ``error_norms`` result per row, each norm
-    times its ``scale`` entry."""
-    components = list(COMPONENTS[coords])
+def _report(method, model, grid_cls, n_values, rows, metadata, scale=(1.0, 1.0, 1.0)):
+    """A ConvergenceReport of one ``error_norms`` result per row on grids of
+    class ``grid_cls``, each norm times its ``scale`` entry."""
+    components = list(grid_cls.components)
     norms = {c: [tuple(e * f for e, f in zip(row[c], scale)) for row in rows] for c in components}
     return ConvergenceReport(
-        method=method, model=getattr(model, "kind", type(model).__name__), coords=coords,
+        method=method, model=getattr(model, "kind", type(model).__name__), coords=grid_cls.coords,
         components=components, n_values=list(n_values), norms=norms,
         metadata={**metadata, "sign_convention": "attractive"})
 
@@ -227,22 +224,20 @@ def run_convergence(model, n_values, coords="cartesian", method="proposed",
     """
     if row_convention not in ("plain", "reference"):
         raise ValueError(f"unknown row convention {row_convention!r}")
-    if coords not in COMPONENTS:
-        raise ValueError(f"unknown coordinate system {coords!r}")
+    grid_cls = grid_type(coords)
     if not hasattr(model, "force_xy"):
         raise ValueError(f"model {getattr(model, 'kind', type(model).__name__)!r} has no "
                          "analytic force; measure it against a fine-grid solve with "
                          "run_self_convergence (thindisk converge --truth-N)")
     reference = row_convention == "reference"
+    # the reference tables solve each Cartesian row at twice its labeled N
+    factor = 2 if reference and coords == "cartesian" else 1
     rows = []
     for n in n_values:
-        if coords == "cartesian":
-            grid = build_cartesian_grid(half_width, 2 * n if reference else n)
-        else:
-            grid = build_polar_grid(half_width, n, beta0)
+        grid = build_grid(coords, half_width, factor * n, beta0)
         num = solve_field(sample_density(model, grid, slopes=slope_mode), method)
         rows.append(error_norms(num, _analytic_force(model, grid), grid))
-    return _report(method, model, coords, n_values, rows,
+    return _report(method, model, grid_cls, n_values, rows,
                    {"half_width": half_width, "beta0": beta0 if coords == "polar" else "",
                     "slope_mode": slope_mode, "row_convention": row_convention},
                    scale=(4.0, 2.0, 1.0) if reference else (1.0, 1.0, 1.0))
@@ -265,7 +260,7 @@ def run_self_convergence(model, n_values, truth_n, half_width=1.0,
 
     truth = solve(truth_n)
     rows = [error_norms(solve(n), restrict_closest4(truth, n)) for n in n_values]
-    return _report("proposed-self", model, "cartesian", n_values, rows,
+    return _report("proposed-self", model, CartesianGrid, n_values, rows,
                    {"half_width": half_width, "truth_n": truth_n, "slope_mode": slope_mode})
 
 

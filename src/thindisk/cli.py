@@ -16,11 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, gridio
-from .analysis import csv_text, solve_field, tabulate_kernels
+from .analysis import csv_text, kernel_family, solve_field, tabulate_kernels
 from .baselines import KalnajsConfig, kalnajs_potential_axisym
-from .grids import build_cartesian_grid, build_polar_grid
-from .kernels_cartesian import KINDS as CARTESIAN_KINDS
-from .kernels_polar import KINDS as POLAR_KINDS, SingularEvaluationError
+from .grids import build_cartesian_grid, build_grid
+from .kernels_polar import SingularEvaluationError
 from .models import D2Disk, D2PairDisk, LogSpiralDisk, sample_density
 from .solver import solve_cartesian_direct
 
@@ -91,30 +90,23 @@ def _write_text(path, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _build_grid(args):
-    if args.coords == "cartesian":
-        return build_cartesian_grid(args.M, args.N)
-    return build_polar_grid(args.M, args.N, args.beta0)
-
-
 def _build_field(args):
-    """Grid + density field from either a model or an input file."""
+    """Density field and model (None for an input file) from either."""
     if args.input:
-        field = gridio.read_density(args.input)
-        return field.grid, field, None
+        return gridio.read_density(args.input), None
     model = make_model(args.model, args.alpha, args.sigma0)
-    grid = _build_grid(args)
-    return grid, sample_density(model, grid, slopes=args.slopes), model
+    grid = build_grid(args.coords, args.M, args.N, args.beta0)
+    return sample_density(model, grid, slopes=args.slopes), model
 
 
 def cmd_solve(args) -> int:
-    grid, field, model = _build_field(args)
+    field, model = _build_field(args)
     tables = None
     if args.method == "proposed" and args.kernel_cache:
         if os.path.exists(args.kernel_cache):
-            tables = gridio.load_kernel_tables(args.kernel_cache, grid)
+            tables = gridio.load_kernel_tables(args.kernel_cache, field.grid)
         else:
-            tables = tabulate_kernels(grid)
+            tables = tabulate_kernels(field.grid)
             gridio.save_kernel_tables(args.kernel_cache, tables)
     force = solve_field(field, args.method, tables, args.epsilon)
 
@@ -125,8 +117,8 @@ def cmd_solve(args) -> int:
     print(f"wrote {out}")
 
     if model is not None and hasattr(model, "force_xy"):
-        exact = analysis._analytic_force(model, grid)
-        for comp, (e1, e2, ei) in analysis.error_norms(force, exact, grid).items():
+        exact = analysis._analytic_force(model, field.grid)
+        for comp, (e1, e2, ei) in analysis.error_norms(force, exact).items():
             print(f"F_{comp}: L1={e1:.4e}  L2={e2:.4e}  Linf={ei:.4e}")
     return 0
 
@@ -219,15 +211,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_kernels(args) -> int:
-    grid = _build_grid(args)
+    grid = build_grid(args.coords, args.M, args.N, args.beta0)
     tables = tabulate_kernels(grid)
     gridio.save_kernel_tables(args.out, tables)
     saved = gridio.cache_arrays(tables)
     for key, arr in gridio.cache_arrays(gridio.load_kernel_tables(args.out, grid)).items():
         if not np.array_equal(arr, saved[key]):
             raise gridio.FileFormatError(f"kernel cache round trip failed for {key}")
-    kinds = CARTESIAN_KINDS if grid.coords == "cartesian" else POLAR_KINDS
-    print(f"wrote {args.out} ({len(kinds)} kernel kinds, n={grid.n})")
+    print(f"wrote {args.out} ({len(kernel_family(grid)[2])} kernel kinds, n={grid.n})")
     return 0
 
 

@@ -10,7 +10,10 @@ Field files are a versioned text contract:
 Rows iterate the second grid index (y or theta); values within a row
 iterate the first (x or r).  Numbers carry 17 significant digits so a
 write/read round trip is bit exact.  Force files use the same header with
-two back-to-back component blocks and no sentinel.  Blocks are parsed by
+two back-to-back component blocks and no sentinel.  A line after a file's
+last block (a force file read as a density file, say) raises
+FileFormatError, and a ForceField or DensityField refuses arrays that are
+not N x N, so no misframed file is written.  Blocks are parsed by
 numpy's C parser, which reads the same bits as ``float()`` but rejects digits
 grouped by underscores (``1_0``) and non-ASCII digits; ``#`` starts no comment.
 """
@@ -20,13 +23,15 @@ import zipfile
 
 import numpy as np
 
-from .grids import build_cartesian_grid, build_polar_grid
+from .grids import build_grid
 from .kernels_cartesian import X_KINDS, KernelTables
 from .kernels_polar import KINDS as POLAR_KINDS, PolarKernelTables
 from .models import DensityField, differenced_field
 from .solver import ForceField
 
 MAGIC = "thindisk v1"
+# the first word of a grid line: its geometry and the line's word count
+GRID_WORDS = {"cart": ("cartesian", 3), "polar": ("polar", 4)}
 
 
 class FileFormatError(ValueError):
@@ -67,16 +72,12 @@ def _read(path) -> tuple:
     if len(lines) < 2:
         raise FileFormatError("missing grid line")
     parts = lines[1].split()
-    try:
-        if parts[0] == "cart" and len(parts) == 3:
-            grid = build_cartesian_grid(float(parts[2]), int(parts[1]))
-        elif parts[0] == "polar" and len(parts) == 4:
-            grid = build_polar_grid(float(parts[2]), int(parts[1]), float(parts[3]))
-        else:
-            raise FileFormatError(f"bad grid line {lines[1]!r}")
-    except (ValueError, IndexError) as exc:
-        if isinstance(exc, FileFormatError):
-            raise
+    coords, words = GRID_WORDS.get(parts[0], (None, None))
+    if len(parts) != words:
+        raise FileFormatError(f"bad grid line {lines[1]!r}")
+    try:    # the words: cart or polar, n, the extent, then a polar grid's beta0
+        grid = build_grid(coords, float(parts[2]), int(parts[1]), *map(float, parts[3:]))
+    except ValueError as exc:
         raise FileFormatError(f"bad grid line {lines[1]!r}: {exc}") from exc
     return grid, lines[2:]
 
@@ -110,6 +111,12 @@ def _read_block(lines, n, what) -> tuple:
     return out, lines[n:]
 
 
+def _expect_end(rest, what) -> None:
+    """Refuse the lines left after a file's last block, ``what``."""
+    if rest:
+        raise FileFormatError(f"{len(rest)} unexpected line(s) after the {what} block")
+
+
 def write_density(path, field: DensityField, include_slopes: bool = True) -> None:
     slopes = ["slopes", field.slope_u, field.slope_v] if include_slopes else []
     _write(path, field.grid, [field.values, *slopes])
@@ -126,9 +133,11 @@ def read_density(path) -> DensityField:
     grid, rest = _read(path)
     values, rest = _read_block(rest, grid.n, "density")
     if not (rest and rest[0].strip() == "slopes"):
+        _expect_end(rest, "density")
         return differenced_field(grid, values)
     slope_u, rest = _read_block(rest[1:], grid.n, "x-slopes")
     slope_v, rest = _read_block(rest, grid.n, "y-slopes")
+    _expect_end(rest, "y-slopes")
     return differenced_field(grid, values, slope_pair=(slope_u, slope_v))
 
 
@@ -140,6 +149,7 @@ def read_force(path) -> ForceField:
     grid, rest = _read(path)
     comp_u, rest = _read_block(rest, grid.n, "first component")
     comp_v, rest = _read_block(rest, grid.n, "second component")
+    _expect_end(rest, "second component")
     return ForceField(grid, comp_u, comp_v)
 
 

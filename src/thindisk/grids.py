@@ -3,7 +3,12 @@
 Both grids are immutable after construction (arrays are marked read-only),
 so they can be shared freely between kernel tables, density fields and
 solvers without copying.  They compare and hash by their defining
-parameters only: (half_width, n) and (outer_radius, n, beta0).
+parameters only: (half_width, n) and (outer_radius, n, beta0).  Each grid
+class also states the facts of its geometry that the rest of the library
+reads: ``coords`` (its name), ``components`` (the force components an error
+report names), ``padded_axes`` (the axes a convolution zero-pads; the others
+are periodic) and ``center_axes`` (the cell centers along each axis).
+``build_grid`` builds either geometry from one set of arguments.
 """
 from __future__ import annotations
 
@@ -32,14 +37,18 @@ class CartesianGrid:
     x_edges: np.ndarray = field(repr=False, compare=False)
     x_centers: np.ndarray = field(repr=False, compare=False)
 
+    coords = "cartesian"
+    components = ("x", "y", "R")
+    padded_axes = (0, 1)
+
     # y discretization is identical to x on this square grid
     @property
     def y_centers(self) -> np.ndarray:
         return self.x_centers
 
     @property
-    def coords(self) -> str:
-        return "cartesian"
+    def center_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.x_centers, self.y_centers
 
     @property
     def cell_area(self) -> float:
@@ -47,7 +56,7 @@ class CartesianGrid:
 
     def center_mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) center coordinates, shape (n, n), x varying along axis 0."""
-        return np.meshgrid(self.x_centers, self.y_centers, indexing="ij")
+        return np.meshgrid(*self.center_axes, indexing="ij")
 
 
 @dataclass(frozen=True)
@@ -74,9 +83,13 @@ class PolarGrid:
     theta_edges: np.ndarray = field(repr=False, compare=False)
     theta_centers: np.ndarray = field(repr=False, compare=False)
 
+    coords = "polar"
+    components = ("r", "theta")
+    padded_axes = (0,)      # theta is periodic
+
     @property
-    def coords(self) -> str:
-        return "polar"
+    def center_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.r_centers, self.theta_centers
 
     @property
     def hole_radius(self) -> float:
@@ -95,7 +108,7 @@ class PolarGrid:
 
     def center_mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(R, THETA) center coordinates, shape (n, n), r along axis 0."""
-        return np.meshgrid(self.r_centers, self.theta_centers, indexing="ij")
+        return np.meshgrid(*self.center_axes, indexing="ij")
 
 
 def build_cartesian_grid(half_width: float, n: int) -> CartesianGrid:
@@ -159,3 +172,19 @@ def build_polar_grid(outer_radius: float, n: int, beta0: float) -> PolarGrid:
         theta_edges=_readonly(theta_edges),
         theta_centers=_readonly(theta_centers),
     )
+
+
+def grid_type(coords: str) -> type:
+    """The grid class of geometry ``coords``; another name raises ValueError."""
+    for cls in (CartesianGrid, PolarGrid):
+        if cls.coords == coords:
+            return cls
+    raise ValueError(f"unknown coordinate system {coords!r}")
+
+
+def build_grid(coords: str, extent: float, n: int, beta0: float | None = None):
+    """The n-zone grid of geometry ``coords`` reaching out to ``extent``:
+    ``build_cartesian_grid(extent, n)``, which takes no ``beta0``, or
+    ``build_polar_grid(extent, n, beta0)``."""
+    polar = grid_type(coords) is PolarGrid
+    return build_polar_grid(extent, n, beta0) if polar else build_cartesian_grid(extent, n)

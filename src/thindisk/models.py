@@ -228,7 +228,9 @@ class DensityField:
     along x (Cartesian) or r (polar) and the second along y or theta.  Slopes
     are the first partials with respect to the grid's own coordinates
     (d/dx, d/dy) or (d/dr, d/dtheta).  Polar fields additionally carry the
-    hole-cell ring (length n) sampled at the hole's representative radius.
+    hole-cell ring (length n) sampled at the hole's representative radius;
+    Cartesian fields have no hole, and a hole ring given to one raises
+    ValueError.
     """
 
     grid: CartesianGrid | PolarGrid
@@ -242,6 +244,9 @@ class DensityField:
 
     def __post_init__(self):
         n, polar = self.grid.n, self.grid.coords == "polar"
+        for name in ("hole_" + p for p in PLANES if not polar):
+            if getattr(self, name) is not None:
+                raise ValueError(f"{name} given on a Cartesian grid, which has no hole ring")
         checks = [(p, (n, n)) for p in PLANES] + [("hole_" + p, (n,)) for p in PLANES if polar]
         for name, shape in checks:
             a = getattr(self, name)
@@ -327,11 +332,10 @@ def differenced_field(grid: CartesianGrid | PolarGrid, values: np.ndarray, hole_
     ``slope_pair`` (slope_u, slope_v) when given.  A polar field's hole ring
     holds ``hole_values`` (default: ring 0's values) and ring 0's slopes, the
     best slope data the rings offer."""
-    polar = grid.coords == "polar"
-    axes = (grid.r_centers, grid.theta_centers) if polar else (grid.x_centers, grid.y_centers)
-    su, sv = slope_pair or central_difference_slopes(values, *axes)
-    hole = dict(hole_values=values[0].copy() if hole_values is None else hole_values,
-                hole_slope_u=su[0].copy(), hole_slope_v=sv[0].copy()) if polar else {}
+    su, sv = slope_pair or central_difference_slopes(values, *grid.center_axes)
+    hole = {} if grid.coords != "polar" else dict(
+        hole_values=values[0].copy() if hole_values is None else hole_values,
+        hole_slope_u=su[0].copy(), hole_slope_v=sv[0].copy())
     return DensityField(grid, values, su, sv, **hole,
                         slope_source="analytic" if slope_pair else "central-difference")
 

@@ -35,12 +35,19 @@ class ForceField:
 
     ``comp_u``/``comp_v`` are (Fx, Fy) on Cartesian grids and (Fr, Ftheta)
     on polar grids, shape (n, n) with the same axis order as DensityField,
-    attractive: each points toward mass.
+    attractive: each points toward mass.  Another shape raises ValueError;
+    the values are not checked, as a force may hold inf or nan.
     """
 
     grid: CartesianGrid | PolarGrid
     comp_u: np.ndarray
     comp_v: np.ndarray
+
+    def __post_init__(self):
+        shape = (self.grid.n, self.grid.n)
+        for name, a in (("comp_u", self.comp_u), ("comp_v", self.comp_v)):
+            if np.shape(a) != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {np.shape(a)}")
 
     @property
     def coords(self) -> str:
@@ -73,8 +80,7 @@ POTENTIAL_TERMS = ((0, "p0", "values"), (0, "pr", "slope_u"), (0, "pt", "slope_v
 
 def _direct_sums(terms, field: DensityField, tables) -> dict:
     grid = field.grid
-    pad = (0,) if grid.coords == "polar" else (0, 1)
-    passes = [(tables.table, "", lambda k, a: direct_convolve(k, a, pad_axes=pad))]
+    passes = [(tables.table, "", lambda k, a: direct_convolve(k, a, pad_axes=grid.padded_axes))]
     if grid.coords == "polar":
         passes.append((tables.hole_table, "hole_", ring_convolve_direct))
     outs = {}
@@ -95,14 +101,12 @@ def _source(field: DensityField, prefix: str, plane: str, radial: bool) -> np.nd
 
 def _fft_sums(terms, field: DensityField, tables) -> dict:
     grid, n = field.grid, field.grid.n
-    polar = grid.coords == "polar"
-    shape = (2 * n, n if polar else 2 * n)
-    # Cartesian kernel spectra are stored as real quadrants; those of x0 and
-    # y0 carry a factor 1j, which goes once onto the one plane they (and no
-    # other kind) read
-    parity = {} if polar else PARITY
-    imaginary = {kind for kind, (r, c) in parity.items() if r * c < 0}
-    kernels = {kind: (tables.spectrum(kind), parity.get(kind, (1, 1))[0]) for _, kind, _ in terms}
+    shape = tuple(2 * n if axis in grid.padded_axes else n for axis in (0, 1))
+    # Cartesian kernel spectra, the kinds in PARITY, are stored as real
+    # quadrants; those of x0 and y0 carry a factor 1j, which goes once onto
+    # the one plane they (and no other kind) read.  Polar spectra are complex.
+    imaginary = {kind for kind, (r, c) in PARITY.items() if r * c < 0}
+    kernels = {kind: (tables.spectrum(kind), PARITY.get(kind, (1, 1))[0]) for _, kind, _ in terms}
     # each row reads the _source of its plane; each source is transformed once
     rows = [(out, kind, (plane, kind in RADIAL_KINDS)) for out, kind, plane in terms]
     sources = dict.fromkeys(key for _, _, key in rows)
@@ -112,7 +116,7 @@ def _fft_sums(terms, field: DensityField, tables) -> dict:
         accumulate(accs, [(out, *kernels[kind]) for out, kind in reads],
                    padded_rfft2(_source(field, "", *key), shape),
                    any(kind in imaginary for _, kind in reads))
-    if not polar:
+    if grid.coords != "polar":
         return {out: cropped_irfft2(accs.pop(out), shape, n, n) for out in list(accs)}
     # a hole sum is a circular theta-convolution: it joins its output's theta
     # spectrum between the radial inverse and the one theta inverse
@@ -138,23 +142,28 @@ def assemble(terms, field: DensityField, tables, backend: str = "fft") -> list:
     return [outs[k] for k in sorted(outs)]
 
 
-def _force(terms, field: DensityField, tables, backend: str) -> ForceField:
+def _force(coords: str, field: DensityField, tables, backend: str) -> ForceField:
+    """The force of a ``coords`` solver; a field of the other geometry, or
+    tables of another grid, raise ValueError."""
+    if field.grid.coords != coords:
+        raise ValueError(f"a {coords} solver cannot solve a {field.grid.coords} density field")
     if field.grid is not tables.grid and field.grid != tables.grid:
         raise ValueError("density field and kernel tables were built on different grids")
+    terms = POLAR_TERMS if coords == "polar" else CARTESIAN_TERMS
     u, v = finite(lambda: assemble(terms, field, tables, backend), *FORCE_COMPONENTS)
-    if field.grid.coords == "polar":
+    if coords == "polar":
         np.negative(u, out=u)   # radial family orientation: its integrand is outward-positive
     return ForceField(field.grid, u, v)
 
 
 def solve_cartesian(field: DensityField, tables: KernelTables) -> ForceField:
     """Both force components as three kernel convolutions each."""
-    return _force(CARTESIAN_TERMS, field, tables, "fft")
+    return _force("cartesian", field, tables, "fft")
 
 
 def solve_cartesian_direct(field: DensityField, tables: KernelTables) -> ForceField:
     """Direct-summation twin of solve_cartesian (oracle and benchmark path)."""
-    return _force(CARTESIAN_TERMS, field, tables, "direct")
+    return _force("cartesian", field, tables, "direct")
 
 
 def solve_polar(field: DensityField, tables: PolarKernelTables) -> ForceField:
@@ -166,12 +175,12 @@ def solve_polar(field: DensityField, tables: PolarKernelTables) -> ForceField:
     stays a pure offset convolution.  The azimuthal force needs no 1/r_i
     prefactor because it cancels against the kernel's own scale.
     """
-    return _force(POLAR_TERMS, field, tables, "fft")
+    return _force("polar", field, tables, "fft")
 
 
 def solve_polar_direct(field: DensityField, tables: PolarKernelTables) -> ForceField:
     """Direct-summation twin of solve_polar (oracle)."""
-    return _force(POLAR_TERMS, field, tables, "direct")
+    return _force("polar", field, tables, "direct")
 
 
 def polar_potential(field: DensityField, tables: PolarKernelTables | None = None) -> np.ndarray:

@@ -243,7 +243,8 @@ class TestConverge:
 
 class TestBadInput:
     """Bad input ends in its documented exit code and one stderr line, never
-    a traceback.  ``{cfg}`` in an argv names a config file holding ``config``."""
+    a traceback.  ``{cfg}`` in an argv names a config file holding ``config``,
+    and ``{force}`` a force file written by ``solve --N 8``."""
 
     CASES = [
         # (argv, config, exit code, stderr line)
@@ -283,6 +284,9 @@ class TestBadInput:
          "numerical failure: rr ring table holds a non-finite value"),
         (["kernels", "--coords", "polar", "--N", "64", "--beta0", "0.001"], None, 3,
          "numerical failure: rr ring table holds a non-finite value"),
+        # a force file in place of a density file: its Fy block follows the Fx block
+        (["solve", "--input", "{force}"], None, 2,
+         "error: 8 unexpected line(s) after the density block"),
         (["singular-study", "--k-min", "26", "--k-max", "27"], None, 3,
          "numerical failure: 1 - cos(2**-27) rounds to 0 in double precision "
          "(k must be at most 26)"),
@@ -291,9 +295,13 @@ class TestBadInput:
     @pytest.mark.parametrize("argv,config,code,line", CASES,
                              ids=lambda v: "_".join(v) if isinstance(v, list) else None)
     def test_one_line_and_exit_code(self, tmp_path, capsys, argv, config, code, line):
-        names = {"cfg": str(tmp_path / "c.cfg"), "missing": str(tmp_path / "nope.txt")}
+        names = {"cfg": str(tmp_path / "c.cfg"), "missing": str(tmp_path / "nope.txt"),
+                 "force": str(tmp_path / "force.txt")}
         if config is not None:
             (tmp_path / "c.cfg").write_text(config + "\n")
+        if "{force}" in argv:
+            assert main(["solve", "--N", "8", "--out", names["force"]]) == 0
+            capsys.readouterr()
         out = tmp_path / "out.txt"
         argv = [a.format(**names) for a in argv] + ["--out", str(out)]
         assert main(argv) == code

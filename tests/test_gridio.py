@@ -1,4 +1,5 @@
 import io
+import re
 import zipfile
 
 import numpy as np
@@ -89,6 +90,46 @@ class TestDensityFiles:
             with pytest.raises(FileFormatError):
                 read_force(p)
 
+    @pytest.mark.parametrize("line,why", [
+        ("cart 4 1 0.5", ""), ("polar 16 1", ""), ("cart", ""), ("polar 16 1 0.9 2", ""),
+        ("cart 1 1", ": need at least 2 zones per side, got n=1"),
+        ("polar 4 1 0.9", ": radial ratio"), ("cart 4.0 1", ": invalid literal for int()"),
+        ("polar 16 1 x", ": could not convert string to float: 'x'")])
+    def test_grid_line_words_and_values(self, tmp_path, line, why):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"thindisk v1\n{line}\n")
+        for read in (read_density, read_force):
+            with pytest.raises(FileFormatError, match=re.escape(f"bad grid line {line!r}{why}")):
+                read(p)
+
+    @pytest.mark.parametrize("coords", ["cartesian", "polar"])
+    @pytest.mark.parametrize("extra", ["force", "row", "sentinel"])
+    def test_lines_after_the_last_block_refused(self, tmp_path, coords, extra):
+        # a force file read as a density file holds its second block after the
+        # first; a density file may hold one more row or a second sentinel
+        grid = build_cartesian_grid(1.0, 8) if coords == "cartesian" else \
+            build_polar_grid(1.0, 8, 0.9)
+        field = sample_density(D2Disk(), grid)
+        p = tmp_path / "d.txt"
+        if extra == "force":
+            write_force(p, ForceField(grid, field.values, field.slope_u))
+            want = "density"
+        else:
+            write_density(p, field)
+            with open(p, "a") as fh:
+                fh.write("1,2,3,4,5,6,7,8\n" if extra == "row" else "slopes\n")
+            want = "y-slopes"
+        lines = 8 if extra == "force" else 1
+        with pytest.raises(FileFormatError,
+                           match=rf"^{lines} unexpected line\(s\) after the {want} block$"):
+            read_density(p)
+        write_density(p, field, include_slopes=False)
+        with open(p, "a") as fh:
+            fh.write("slope\n")
+        with pytest.raises(FileFormatError,
+                           match=r"^1 unexpected line\(s\) after the density block$"):
+            read_density(p)
+
     def test_truncated_block(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("thindisk v1\ncart 4 1\n1,2,3,4\n1,2,3,4\n")
@@ -145,6 +186,17 @@ class TestForceFiles:
         np.testing.assert_array_equal(back.comp_u, force.comp_u)
         np.testing.assert_array_equal(back.comp_v, force.comp_v)
         assert back.comp_u.flags.c_contiguous and back.comp_v.flags.c_contiguous
+
+    @pytest.mark.parametrize("rows", [1, 10])
+    def test_rows_after_the_second_component_refused(self, tmp_path, rows):
+        grid = build_cartesian_grid(1.5, 10)
+        p = tmp_path / "f.txt"
+        write_force(p, ForceField(grid, np.ones((10, 10)), np.zeros((10, 10))))
+        with open(p, "a") as fh:
+            fh.write("2,2,2,2,2,2,2,2,2,2\n" * rows)
+        with pytest.raises(FileFormatError, match=rf"^{rows} unexpected line\(s\) after "
+                                                  "the second component block$"):
+            read_force(p)
 
 
     def test_writers_match_the_per_value_formatter(self, tmp_path):

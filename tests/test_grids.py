@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from thindisk import build_cartesian_grid, build_polar_grid
+from thindisk.grids import build_grid, grid_type
 
 
 class TestCartesianGrid:
@@ -124,3 +127,26 @@ class TestGridEquality:
     def test_cartesian_never_equals_polar(self):
         cart, polar = build_cartesian_grid(1.0, 16), build_polar_grid(1.0, 16, 0.99)
         assert cart != polar and polar != cart
+
+
+class TestGeometryFacts:
+    def test_one_builder_for_both_geometries(self):
+        assert build_grid("cartesian", 1.5, 8, 0.3) == build_cartesian_grid(1.5, 8)
+        assert build_grid("cartesian", 1.5, 8) == build_cartesian_grid(1.5, 8)
+        assert build_grid("polar", 1.5, 16, 0.9) == build_polar_grid(1.5, 16, 0.9)
+        for coords in ("spherical", "cart", None):
+            with pytest.raises(ValueError, match=f"^unknown coordinate system {coords!r}$"):
+                build_grid(coords, 1.0, 16, 0.9)
+
+    @pytest.mark.parametrize("grid,components,padded", [
+        (build_cartesian_grid(1.0, 8), ("x", "y", "R"), (0, 1)),
+        (build_polar_grid(1.0, 8, 0.9), ("r", "theta"), (0,))])
+    def test_each_grid_states_its_facts(self, grid, components, padded):
+        assert grid_type(grid.coords) is type(grid)
+        assert grid.components == components and grid.padded_axes == padded
+        mesh = np.meshgrid(*grid.center_axes, indexing="ij")
+        for got, want in zip(grid.center_mesh(), mesh):
+            np.testing.assert_array_equal(got, want)
+        # the facts are class attributes: equality and hashing stay by parameters
+        names = {f.name for f in dataclasses.fields(grid)}
+        assert not names & {"coords", "components", "padded_axes", "center_axes"}

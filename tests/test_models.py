@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -373,6 +374,18 @@ class TestSampling:
         arrays[name][3, 5] = np.nan
         with pytest.raises(ValueError, match=name):
             DensityField(grid, **arrays)
+
+    @pytest.mark.parametrize("ring", ["zeros", "nan", "wrong-shape"])
+    @pytest.mark.parametrize("name", ["hole_values", "hole_slope_u", "hole_slope_v"])
+    def test_cartesian_field_refuses_hole_rings(self, name, ring):
+        from thindisk.models import DensityField
+        grid = build_cartesian_grid(1.0, 8)
+        f = sample_density(D2Disk(), grid)
+        arr = {"zeros": np.zeros(8), "nan": np.full(8, np.nan), "wrong-shape": np.zeros(3)}[ring]
+        with pytest.raises(ValueError, match=f"^{name} given on a Cartesian grid"):
+            DensityField(grid, f.values, f.slope_u, f.slope_v, **{name: arr})
+        with pytest.raises(ValueError, match=f"^{name} given on a Cartesian grid"):
+            replace(f, **{name: arr})
 
     def test_non_finite_hole_entry_rejected(self):
         grid = build_polar_grid(1.0, 16, 0.99)

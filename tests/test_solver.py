@@ -118,6 +118,16 @@ class TestCartesianSolve:
         with pytest.raises(ValueError):
             solve_cartesian(_zero_field(other), tables)
 
+    @pytest.mark.parametrize("solve", [solve_cartesian, solve_cartesian_direct, solve_polar,
+                                       solve_polar_direct], ids=lambda f: f.__name__)
+    def test_wrong_geometry_refused(self, cart32, polar32, solve):
+        # a field and tables of the other geometry, matched to each other
+        polar = solve in (solve_polar, solve_polar_direct)
+        grid, tables = cart32 if polar else polar32
+        own, other = ("polar", "cartesian") if polar else ("cartesian", "polar")
+        with pytest.raises(ValueError, match=f"^a {own} solver cannot solve a {other} density"):
+            solve(_zero_field(grid), tables)
+
     def test_radial_projection(self, cart32):
         grid, tables = cart32
         field = sample_density(D2Disk(), grid)
@@ -393,6 +403,18 @@ class TestForceField:
         want = (X * force.comp_u + Y * force.comp_v) / np.where(X**2 + Y**2 > 0, np.hypot(X, Y), 1)
         want[16, 16] = 0.0
         np.testing.assert_array_equal(force.radial(), want)
+
+    @pytest.mark.parametrize("coords", ["cartesian", "polar"])
+    @pytest.mark.parametrize("shape", [(8, 9), (9, 8), (8,), (8, 8, 1), ()])
+    def test_components_must_be_n_by_n(self, coords, shape):
+        # shape alone is checked: a force may hold inf or nan
+        grid = build_cartesian_grid(1.0, 8) if coords == "cartesian" else \
+            build_polar_grid(1.0, 8, 0.9)
+        good = np.full((8, 8), np.nan)
+        for u, v, name in ((np.zeros(shape), good, "comp_u"), (good, np.zeros(shape), "comp_v")):
+            with pytest.raises(ValueError, match=rf"^{name} must have shape \(8, 8\), got"):
+                ForceField(grid, u, v)
+        assert ForceField(grid, good, -good).grid is grid
 
     def test_polar_radial_is_the_first_component(self):
         grid = build_polar_grid(1.0, 8, 0.9)
