@@ -39,10 +39,12 @@ def padded_rfft2(a: np.ndarray, shape) -> np.ndarray:
     """rfft2 of ``a`` zero-padded to ``shape``.
 
     Rows len(a).. of the padded input are zero: axis 1 is transformed for
-    a's rows alone into a zeroed spectrum, then axis 0 in place.
+    a's rows alone, the spectrum's other rows are zeroed, then axis 0 is
+    transformed in place.
     """
-    spec = np.zeros((shape[0], shape[1] // 2 + 1), complex)
+    spec = np.empty((shape[0], shape[1] // 2 + 1), complex)
     np.fft.rfft(a, n=shape[1], axis=1, out=spec[:len(a)])
+    spec[len(a):] = 0
     return np.fft.fft(spec, axis=0, out=spec)
 
 

@@ -25,39 +25,37 @@ PARITY = {"x0": (-1, 1), "xx": (1, 1), "xy": (-1, -1), "y0": (1, -1), "yx": (-1,
           "yy": (1, 1), "soft": (1, 1)}
 
 
-def _log_plus_hypot(a, b):
-    """log(a + hypot(a, b)), rewritten for a < 0 to avoid cancellation.
+def _log_plus_hypot(a, b, h=None):
+    """log(a + hypot(a, b)), rewritten for a <= 0 to avoid cancellation.
 
-    For a < 0: a + hypot(a,b) = b^2/(hypot(a,b) - a).  b must be nonzero
+    For a <= 0: a + hypot(a,b) = b^2/(hypot(a,b) - a).  b must be nonzero
     when a <= 0; Cartesian corners and polar trapezoid nodes sit half a
     cell off every center, so b == 0 never arises from integer offsets.
+    h, if given, is hypot(a, b).  Each point's log argument is formed by
+    its own branch alone, so one log per point serves both branches.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    h = np.hypot(a, b)
+    h = np.hypot(a, b) if h is None else h
     pos = a > 0
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(pos, np.log(np.where(pos, a, 1.0) + h),
-                       2.0 * np.log(np.abs(b)) - np.log(h - np.where(pos, 0.0, a)))
+        np.add(a, h, out=out, where=pos)
+        np.subtract(h, a, out=out, where=~pos)
+        np.log(out, out=out)
+        np.subtract(2.0 * np.log(np.abs(b)), out, out=out, where=~pos)
     return out
 
 
 def _point_corners(terms, ap, am, bp, bm):
-    """Corner provider: fn(*terms(a, b)) at (ap, bp), (am, bp), (ap, bm) and
-    (am, bm); terms, the antiderivatives' arguments, is evaluated once."""
+    """Corner provider at pp = (ap, bp), mp = (am, bp), pm = (ap, bm) and
+    mm = (am, bm): corners(fn) gives (pp - mp, pm - mm, pm, mm) of
+    fn(*terms(a, b)); terms, the antiderivatives' arguments, is evaluated once."""
     points = [terms(a, b) for b in (bp, bm) for a in (ap, am)]
-    return lambda fn: tuple(fn(*p) for p in points)
 
-
-def _lattice_corners(values, plus, minus):
-    """Corner provider over a lattice; values(fn) is fn on the whole lattice.
-
-    Lattice rows ``plus``/``minus`` hold the cells' up/um; column k is vp of
-    cell k and vm of cell k - 1.
-    """
     def corners(fn):
-        c = values(fn)
-        return c[plus, :-1], c[minus, :-1], c[plus, 1:], c[minus, 1:]
+        pp, mp, pm, mm = (fn(*p) for p in points)
+        return pp - mp, pm - mm, pm, mm
     return corners
 
 
@@ -86,13 +84,17 @@ def _anti_xy_tail(u, v):
 def _assemble(kind, corners, di, dj, dx, k0=None):
     """One x-family kernel at offsets (di, dj) from its antiderivatives.
 
-    corners(fn) returns fn at the source cells' (up, vp), (um, vp), (up, vm)
-    and (um, vm) corners, shaped like the offsets.  k0, the x0 kernel at the
-    same offsets, is computed unless given.
+    corners(fn) returns (pp - mp, pm - mm, pm, mm) of fn at the source
+    cells' pp = (up, vp), mp = (um, vp), pm = (up, vm) and mm = (um, vm)
+    corners, shaped like the offsets.  k0, the x0 kernel at the same
+    offsets, is computed unless given.
     """
     def diff(fn):
-        pp, mp, pm, mm = corners(fn)
-        return pp - mp - pm + mm
+        # pp - mp - pm + mm, in the new array pp - mp that corners formed
+        dp, _, pm, mm = corners(fn)
+        dp -= pm
+        dp += mm
+        return dp
 
     if k0 is None:
         k0 = diff(_anti_x0)
@@ -206,7 +208,13 @@ def tabulate_cartesian_kernels(grid: CartesianGrid, threads: int = 1) -> KernelT
               _anti_xx_tail: _xx_tail(vv, log_uv),
               _anti_xy_tail: np.negative(h, out=h)}
     del log_uv, h
-    corners = _lattice_corners(values.__getitem__, slice(0, -1), slice(1, None))
+
+    def corners(fn):
+        # lattice rows and columns 0..n hold up and vp, rows and columns
+        # 1..n+1 um and vm; no sum here reads pm - mm
+        c = values[fn]
+        return c[:-1, :-1] - c[1:, :-1], None, c[:-1, 1:], c[1:, 1:]
+
     di, dj = d[:, None], d[None, :]
     k0 = _assemble("x0", corners, di, dj, grid.dx)
     tables = {}

@@ -28,7 +28,7 @@ import numpy as np
 
 from .convolve import finite, padded_rfft2, wrap_offsets
 from .grids import PolarGrid
-from .kernels_cartesian import _cached, _lattice_corners, _log_plus_hypot, _point_corners
+from .kernels_cartesian import _cached, _log_plus_hypot, _point_corners
 
 KINDS = ("r0", "rr", "rt", "t0", "tr", "tt")
 POTENTIAL_KINDS = ("p0", "pr", "pt")
@@ -61,7 +61,9 @@ def _chord(t, u):
     """
     t = np.asarray(t, dtype=float)
     c, s = np.cos(u), np.sin(u)
-    return t, c, s, np.hypot(t - c, s), _log_plus_hypot(t - c, s)
+    a = t - c
+    F = np.hypot(a, s)
+    return t, c, s, F, _log_plus_hypot(a, s, F)
 
 
 # ---------------------------------------------------------------------------
@@ -76,46 +78,105 @@ def _chord(t, u):
 #   d2/du dt of _az1 = t^3 sin(u)/F^3
 #   d/dt    of _az2 = sin(u) * (radial antiderivative of t^2/F^3)
 #   d/dt    of _pot0 = t/F,   d/dt of _pot1 = t^2/F
+#
+# Each closed form, in the comment above it, is evaluated in place in at
+# most two arrays of L's shape (the whole lattice when tabulating), with
+# its operations and their operands in the written order, so the values
+# are the one-line form's to the bit, NaN signs included.  t and c may be
+# a column and a row of the lattice; L is always an array.
 
 
 def _h1(t, c, s, F, L):
-    return -c * L + (2.0 * c * t - 1.0) / F
+    # -c * L + (2.0 * c * t - 1.0) / F
+    out = np.multiply(-c, L, out=np.empty_like(L))
+    tail = np.multiply(2.0 * c, t, out=np.empty_like(L))
+    tail -= 1.0
+    tail /= F
+    out += tail
+    return out
 
 
 def _h2(t, c, s, F, L):
-    return -((3.0 * c * c - 1.0) * L + (-6.0 * t * c * c + 3.0 * c + t * t * c + t) / F)
+    # -((3.0 * c * c - 1.0) * L + (-6.0 * t * c * c + 3.0 * c + t * t * c + t) / F)
+    tail = np.multiply(-6.0 * t, c, out=np.empty_like(L))
+    tail *= c
+    tail += 3.0 * c
+    out = np.multiply(t * t, c, out=np.empty_like(L))
+    tail += out
+    tail += t
+    tail /= F
+    np.multiply(3.0 * c * c - 1.0, L, out=out)
+    out += tail
+    return np.negative(out, out=out)
 
 
 def eval_H1(t, theta) -> np.ndarray:
     """Radial antiderivative of t*(1 - t*cos(theta))/F^3."""
     _check_regular(t, theta)
-    return _h1(*_chord(t, theta))
+    return _h1(*_chord(t, theta))[()]
 
 
 def eval_H2(t, theta) -> np.ndarray:
     """Radial antiderivative of t^2*(1 - t*cos(theta))/F^3."""
     _check_regular(t, theta)
-    return _h2(*_chord(t, theta))
+    return _h2(*_chord(t, theta))[()]
 
 
 def _az0(t, c, s, F, L):
-    return -(F + c * L)
+    # -(F + c * L)
+    out = np.multiply(c, L, out=np.empty_like(L))
+    np.add(F, out, out=out)
+    return np.negative(out, out=out)
 
 
 def _az1(t, c, s, F, L):
-    return -(0.5 * (t + 3.0 * c) * F + 0.5 * (3.0 * c * c - 1.0) * L)
+    # -(0.5 * (t + 3.0 * c) * F + 0.5 * (3.0 * c * c - 1.0) * L)
+    out = np.add(t, 3.0 * c, out=np.empty_like(L))
+    out *= 0.5
+    out *= F
+    out += 0.5 * (3.0 * c * c - 1.0) * L
+    return np.negative(out, out=out)
 
 
 def _az2(t, c, s, F, L):
-    return s * L - (t * (1.0 - 2.0 * c * c) + c) / (s * F)
+    # s * L - (t * (1.0 - 2.0 * c * c) + c) / (s * F)
+    tail = np.multiply(t, 1.0 - 2.0 * c * c, out=np.empty_like(L))
+    tail += c
+    out = np.multiply(s, F, out=np.empty_like(L))
+    tail /= out
+    np.multiply(s, L, out=out)
+    out -= tail
+    return out
 
 
 def _pot0(t, c, s, F, L):
-    return F + c * L
+    # F + c * L
+    out = np.multiply(c, L, out=np.empty_like(L))
+    return np.add(F, out, out=out)
 
 
 def _pot1(t, c, s, F, L):
-    return 0.5 * ((t + 3.0 * c) * F + (3.0 * c * c - 1.0) * L)
+    # 0.5 * ((t + 3.0 * c) * F + (3.0 * c * c - 1.0) * L)
+    out = np.add(t, 3.0 * c, out=np.empty_like(L))
+    out *= F
+    out += (3.0 * c * c - 1.0) * L
+    out *= 0.5
+    return out
+
+
+def _lattice_corners(values, plus, minus):
+    """Corner provider over a lattice; values(fn) is fn on the whole lattice.
+
+    Lattice rows ``plus``/``minus`` hold the source cells' radial limits
+    tp/tm; column k is node up of cell k and um of cell k - 1.  corners(fn)
+    gives (a - b, c - d, c, d) as _assemble names them; each call forms the
+    radial differences once, over every column, for both of a cell's nodes.
+    """
+    def corners(fn):
+        c = values(fn)
+        d = c[plus] - c[minus]
+        return d[:, :-1], d[:, 1:], c[plus, 1:], c[minus, 1:]
+    return corners
 
 
 def _theta_nodes(dj, dtheta):
@@ -134,34 +195,53 @@ def _radial_limits(di, grid: PolarGrid):
 def _assemble(kind, corners, ratio_correction, dtheta):
     """One kernel value from the antiderivatives at its cell corners.
 
-    corners(f) returns f at (tp, up), (tm, up), (tp, um) and (tm, um): the
-    radial limits tp > tm of the source cell crossed with the two trapezoid
-    nodes.  ratio_correction is r_src/r_target (beta**di for ring cells,
-    r0/r_i for hole cells); it multiplies the zeroth-order kernel inside the
-    slope kinds.
+    corners(f) returns (a - b, c - d, c, d) of f at a = (tp, up), b = (tm, up),
+    c = (tp, um) and d = (tm, um): the radial limits tp > tm of the source
+    cell crossed with the two trapezoid nodes.  ratio_correction is
+    r_src/r_target (beta**di for ring cells, r0/r_i for hole cells); it
+    multiplies the zeroth-order kernel inside the slope kinds.  Each sum is
+    formed in a new array, in the order of the one-line form above it; what
+    corners returns is never written, as tabulation shares it between kinds.
     """
     def trap(f):
-        a, b, c, d = corners(f)
-        return 0.5 * (a - b + c - d) * dtheta
+        # 0.5 * (a - b + c - d) * dtheta
+        ab, _, c, d = corners(f)
+        out = ab + c
+        out -= d
+        out *= 0.5
+        out *= dtheta
+        return out
 
     def trap_weighted(f):
-        # node weight is (thetabar - theta_src) = +-dtheta/2
-        a, b, c, d = corners(f)
-        return 0.25 * dtheta * (a - b - (c - d)) * dtheta
+        # node weight is (thetabar - theta_src) = +-dtheta/2:
+        # 0.25 * dtheta * (a - b - (c - d)) * dtheta
+        ab, cd, _, _ = corners(f)
+        out = ab - cd
+        out *= 0.25 * dtheta
+        out *= dtheta
+        return out
 
     def corner(f):
-        a, b, c, d = corners(f)
-        return a - b - (c - d)
+        # a - b - (c - d)
+        ab, cd, _, _ = corners(f)
+        return ab - cd
+
+    def slope(total, f1, f0):
+        # total(f1) - ratio_correction * total(f0)
+        out, tail = total(f1), total(f0)
+        tail *= ratio_correction
+        out -= tail
+        return out
 
     formulas = {
         "r0": lambda: trap(_h1),
-        "rr": lambda: trap(_h2) - ratio_correction * trap(_h1),
+        "rr": lambda: slope(trap, _h2, _h1),
         "rt": lambda: trap_weighted(_h1),
         "t0": lambda: corner(_az0),
-        "tr": lambda: corner(_az1) - ratio_correction * corner(_az0),
+        "tr": lambda: slope(corner, _az1, _az0),
         "tt": lambda: trap_weighted(_az2),
         "p0": lambda: trap(_pot0),
-        "pr": lambda: trap(_pot1) - ratio_correction * trap(_pot0),
+        "pr": lambda: slope(trap, _pot1, _pot0),
         "pt": lambda: trap_weighted(_pot0),
     }
     if kind not in formulas:
@@ -243,9 +323,10 @@ def tabulate_polar_kernels(grid: PolarGrid, kinds=KINDS, threads: int = 1) -> Po
 
     ``kinds`` may include the potential family; force and potential tables
     share the layout and the solver picks what it needs.  Each
-    antiderivative is evaluated once on the lattice of radial limits by
-    trapezoid nodes (um at dj is up at dj + 1); tm stays b*tp, which differs
-    from tp at di + 1 in the last bit.  Tables are bit-identical to
+    antiderivative is evaluated once on the whole lattice of radial limits
+    by trapezoid nodes (um at dj is up at dj + 1), for kinds listed in the
+    order of KINDS and POTENTIAL_KINDS; tm stays b*tp, which differs from tp
+    at di + 1 in the last bit.  Tables are bit-identical to
     eval_polar_kernel and eval_hole_kernel; ``threads`` is ignored.  A grid
     so stretched that a table holds inf or nan raises FloatingPointError
     naming the first such kind.
@@ -256,10 +337,15 @@ def tabulate_polar_kernels(grid: PolarGrid, kinds=KINDS, threads: int = 1) -> Po
         tp, tm = _radial_limits(wrap_offsets(n), grid)
         t = np.concatenate([tp, tm, [0.0]])     # ring limits, then the hole's inner one
         chord = _chord(t[:, None], _theta_nodes(np.arange(n + 1), grid.dtheta)[0][None, :])
-        values = functools.cache(lambda f: f(*chord))
-        ring = _lattice_corners(values, slice(0, 2 * n), slice(2 * n, 4 * n))
+        # only the two latest antiderivatives' lattices and radial
+        # differences are kept; kinds in KINDS or POTENTIAL_KINDS order use
+        # each antiderivative while it is among them, so each is evaluated
+        # and differenced once and the older lattices are freed early
+        recent = functools.lru_cache(2)
+        values = recent(lambda f: f(*chord))
+        ring = recent(_lattice_corners(values, slice(0, 2 * n), slice(2 * n, 4 * n)))
         # hole limits th(i) are the ring limits tp at di = i = 1..n
-        hole = _lattice_corners(values, slice(1, n + 1), slice(4 * n, None))
+        hole = recent(_lattice_corners(values, slice(1, n + 1), slice(4 * n, None)))
         lattices = list(zip((ring, hole), _radius_ratios(grid)))
         return [_assemble(k, *lattice, grid.dtheta) for k in kinds for lattice in lattices]
 

@@ -140,22 +140,29 @@ class D2PairDisk:
     has_analytic_slopes = True
 
     def _superpose(self, part, x, y):
-        """Sum of ``part(disk, x - dx0, y)`` over the two shifted disks.  It
+        """Sum of ``part(disk, x - dx0, y)`` over the two shifted disks, an
+        array or a tuple of them, added into the first disk's arrays.  It
         starts from 0.0, so it reads +0.0 where both parts are -0.0."""
         d = D2Disk(self.alpha, self.sigma0)
-        total = 0.0
-        for dx0 in (self.offset, -self.offset):
-            total = total + np.asarray(part(d, _as_array(x) - dx0, y))
-        return total
+        first, second = (part(d, _as_array(x) - dx0, y) for dx0 in (self.offset, -self.offset))
+
+        def add(a, b):
+            # 0.0 + a + b, in a unless a is a scalar or 0-d
+            if np.ndim(a) == 0:
+                return 0.0 + a + b
+            a += 0.0
+            a += b
+            return a
+        return tuple(map(add, first, second)) if isinstance(first, tuple) else add(first, second)
 
     def density(self, x, y) -> np.ndarray:
         return self._superpose(D2Disk.density, x, y)
 
     def density_gradient(self, x, y):
-        return tuple(self._superpose(D2Disk.density_gradient, x, y))
+        return self._superpose(D2Disk.density_gradient, x, y)
 
     def force_xy(self, x, y):
-        return tuple(self._superpose(D2Disk.force_xy, x, y))
+        return self._superpose(D2Disk.force_xy, x, y)
 
 
 @dataclass(frozen=True)

@@ -139,3 +139,126 @@ def fft_convolve_complex(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1))
     padded[:n0, :n1] = field
     out = np.fft.ifft2(np.fft.fft2(kernel) * np.fft.fft2(padded))
     return np.real(out)[:n0, :n1]
+
+
+# ---------------------------------------------------------------------------
+# Reference closed forms: the kernel modules' log, chord, antiderivative and
+# corner-sum formulas as one-line expressions, with np.where evaluating both
+# branches of the log.  The library evaluates the same operations in place
+# and shares subexpressions; these pin its values to the bit.
+
+def log_plus_hypot(a, b):
+    """log(a + hypot(a, b)), rewritten for a < 0 to avoid cancellation."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    h = np.hypot(a, b)
+    pos = a > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(pos, np.log(np.where(pos, a, 1.0) + h),
+                       2.0 * np.log(np.abs(b)) - np.log(h - np.where(pos, 0.0, a)))
+    return out
+
+
+def chord(t, u):
+    """(t, cos u, sin u, F, L) at the points (t, u)."""
+    t = np.asarray(t, dtype=float)
+    c, s = np.cos(u), np.sin(u)
+    return t, c, s, np.hypot(t - c, s), log_plus_hypot(t - c, s)
+
+
+def h1(t, c, s, F, L):
+    return -c * L + (2.0 * c * t - 1.0) / F
+
+
+def h2(t, c, s, F, L):
+    return -((3.0 * c * c - 1.0) * L + (-6.0 * t * c * c + 3.0 * c + t * t * c + t) / F)
+
+
+def az0(t, c, s, F, L):
+    return -(F + c * L)
+
+
+def az1(t, c, s, F, L):
+    return -(0.5 * (t + 3.0 * c) * F + 0.5 * (3.0 * c * c - 1.0) * L)
+
+
+def az2(t, c, s, F, L):
+    return s * L - (t * (1.0 - 2.0 * c * c) + c) / (s * F)
+
+
+def pot0(t, c, s, F, L):
+    return F + c * L
+
+
+def pot1(t, c, s, F, L):
+    return 0.5 * ((t + 3.0 * c) * F + (3.0 * c * c - 1.0) * L)
+
+
+POLAR_FORMS = {"_h1": h1, "_h2": h2, "_az0": az0, "_az1": az1, "_az2": az2,
+               "_pot0": pot0, "_pot1": pot1}
+
+
+def assemble_polar(kind, corners, ratio_correction, dtheta):
+    """One polar kernel from corners(f) = f at (tp, up), (tm, up), (tp, um), (tm, um)."""
+    def trap(f):
+        a, b, c, d = corners(f)
+        return 0.5 * (a - b + c - d) * dtheta
+
+    def trap_weighted(f):
+        a, b, c, d = corners(f)
+        return 0.25 * dtheta * (a - b - (c - d)) * dtheta
+
+    def corner(f):
+        a, b, c, d = corners(f)
+        return a - b - (c - d)
+
+    return {
+        "r0": lambda: trap(h1),
+        "rr": lambda: trap(h2) - ratio_correction * trap(h1),
+        "rt": lambda: trap_weighted(h1),
+        "t0": lambda: corner(az0),
+        "tr": lambda: corner(az1) - ratio_correction * corner(az0),
+        "tt": lambda: trap_weighted(az2),
+        "p0": lambda: trap(pot0),
+        "pr": lambda: trap(pot1) - ratio_correction * trap(pot0),
+        "pt": lambda: trap_weighted(pot0),
+    }[kind]()
+
+
+def assemble_cartesian(kind, corners, di, dj, dx):
+    """One Cartesian x-kind from corners(fn) = fn at (up, vp), (um, vp), (up, vm), (um, vm)."""
+    def diff(fn):
+        pp, mp, pm, mm = corners(fn)
+        return pp - mp - pm + mm
+
+    k0 = diff("x0")
+    if kind == "x0":
+        return k0
+    return (di if kind == "xx" else dj) * dx * k0 + diff(kind)
+
+
+def lattice_polar_tables(grid, kinds):
+    """Ring (2n, n) and hole (n, n) tables of ``kinds``, each antiderivative
+    evaluated on the full lattice of radial limits by trapezoid nodes and
+    read at the four corners of every cell, as (ring, hole) dicts."""
+    n, b = grid.n, grid.ratio
+    wrap = np.concatenate([np.arange(n + 1), np.arange(-n + 1, 0)]).astype(float)
+    tp = 2.0 * np.power(b, wrap) / (1.0 + b)
+    t = np.concatenate([tp, b * tp, [0.0]])
+    nodes = (-np.arange(n + 1) + 0.5) * grid.dtheta
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = chord(t[:, None], nodes[None, :])
+        values = {}
+
+        def provider(plus, minus):
+            def corners(f):
+                c = values[f] if f in values else values.setdefault(f, f(*terms))
+                return c[plus, :-1], c[minus, :-1], c[plus, 1:], c[minus, 1:]
+            return corners
+
+        ring = provider(slice(0, 2 * n), slice(2 * n, 4 * n))
+        hole = provider(slice(1, n + 1), slice(4 * n, None))
+        ring_ratio = np.power(b, wrap)[:, None]
+        hole_ratio = (b ** np.arange(1, n + 1, dtype=float) / (1.0 + b))[:, None]
+        return ({k: assemble_polar(k, ring, ring_ratio, grid.dtheta) for k in kinds},
+                {k: assemble_polar(k, hole, hole_ratio, grid.dtheta) for k in kinds})

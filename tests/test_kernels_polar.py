@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from thindisk import (build_polar_grid, eval_F, eval_H1, eval_H2,
                       eval_hole_kernel, eval_polar_kernel, tabulate_polar_kernels)
+from thindisk import kernels_cartesian, kernels_polar
 from thindisk.kernels_polar import KINDS, POTENTIAL_KINDS, SingularEvaluationError
 
 from oracles import quad_polar_kernel
@@ -186,3 +191,125 @@ class TestTables:
         b = tabulate_polar_kernels(g, threads=4)
         for kind in KINDS:
             np.testing.assert_array_equal(a.table(kind), b.table(kind))
+
+
+def assert_bits(got, want):
+    """Equal values, NaNs included, equal sign bits and equal shapes."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want, strict=True)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+DTHETA = 2.0 * np.pi / 512
+# dimensionless radii: the origin, both sides of the t = 1 singularity, the
+# far limits of stretched grids, and values that are not numbers
+RADII = st.one_of(st.sampled_from([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                                   1e-300, 1e150, np.nan, np.inf, -np.inf]),
+                  st.floats(0.0, 1e150))
+# trapezoid nodes half a cell off a center, near +-2 pi, and the singular 0
+NODES = st.one_of(st.sampled_from([0.0, -0.0, DTHETA / 2, -DTHETA / 2, np.pi,
+                                   2.0 * np.pi - DTHETA / 2, DTHETA / 2 - 2.0 * np.pi,
+                                   np.nextafter(2.0 * np.pi, 0.0), -np.nextafter(2.0 * np.pi, 0.0),
+                                   np.nan, np.inf]),
+                  st.floats(-7.0, 7.0))
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e300, np.nan, np.inf, -np.inf]
+
+
+def column_by_row(data, rows, columns):
+    """0-d values, or a column of rows by a row of columns."""
+    if data.draw(st.booleans()):
+        return data.draw(rows), data.draw(columns)
+    return (np.array(data.draw(st.lists(rows, min_size=1, max_size=5)))[:, None],
+            np.array(data.draw(st.lists(columns, min_size=1, max_size=5)))[None, :])
+
+
+class TestReferenceForms:
+    """The in-place log, chord, antiderivatives and corner sums against
+    oracles' one-line forms, to the bit: test_table_equals_entrywise_eval
+    cannot see a changed formula, since both of its sides use it."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_log_plus_hypot(self, data):
+        # a <= 0 with b = 0 reads -inf, and 0 with 0 nan
+        a, b = column_by_row(data, st.one_of(st.sampled_from(SPECIAL), st.floats()),
+                             st.one_of(st.sampled_from(SPECIAL), st.floats()))
+        with np.errstate(all="ignore"):
+            want = oracles.log_plus_hypot(a, b)
+            assert_bits(kernels_cartesian._log_plus_hypot(a, b), want)
+            assert_bits(kernels_cartesian._log_plus_hypot(a, b, np.hypot(a, b)), want)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_chord_and_antiderivatives(self, data):
+        t, u = column_by_row(data, RADII, NODES)
+        with np.errstate(all="ignore"):
+            got, want = kernels_polar._chord(t, u), oracles.chord(t, u)
+            for g, w in zip(got, want):
+                assert_bits(g, w)
+            for name, form in oracles.POLAR_FORMS.items():
+                assert_bits(getattr(kernels_polar, name)(*got), form(*want))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (3,), (4, 5)]),
+           dtheta=st.sampled_from([DTHETA, 0.3]), ratio=st.floats(1e-3, 1e3))
+    def test_corner_sums(self, seed, shape, dtheta, ratio):
+        # corner values of every sign and size, a different set per antiderivative
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            v = rng.choice(SPECIAL + [0.5, -2.0, 3e10], size=(4, *shape))
+            v = np.where(rng.random(v.shape) < 0.5, rng.standard_normal(v.shape), v)
+            return tuple(v[k] if shape else v[k][()] for k in range(4))
+
+        polar = {name: draw() for name in oracles.POLAR_FORMS}
+        names = {form: name for name, form in oracles.POLAR_FORMS.items()}
+        cartesian = {kind: draw() for kind in kernels_cartesian.X_KINDS}
+        kind_of = {kernels_cartesian._anti_x0: "x0", kernels_cartesian._anti_xx_tail: "xx",
+                   kernels_cartesian._anti_xy_tail: "xy"}
+
+        def differenced(a, b, c, d):
+            return a - b, c - d, c, d
+
+        with np.errstate(all="ignore"):
+            for kind in KINDS + POTENTIAL_KINDS:
+                assert_bits(kernels_polar._assemble(kind, lambda f: differenced(*polar[f.__name__]),
+                                                    ratio, dtheta),
+                            oracles.assemble_polar(kind, lambda f: polar[names[f]], ratio, dtheta))
+            for kind in kernels_cartesian.X_KINDS:
+                assert_bits(kernels_cartesian._assemble(
+                                kind, lambda fn: differenced(*cartesian[kind_of[fn]]), -3, -2, 0.1),
+                            oracles.assemble_cartesian(kind, cartesian.__getitem__, -3, -2, 0.1))
+
+    @pytest.mark.parametrize("n", [64, 257])
+    @pytest.mark.parametrize("beta0", [0.99, 0.7])
+    def test_tables_match_full_lattice_reference(self, n, beta0):
+        grid = build_polar_grid(1.0, n, beta0)
+        kinds = KINDS + POTENTIAL_KINDS
+        t = tabulate_polar_kernels(grid, kinds=kinds)
+        ring, hole = oracles.lattice_polar_tables(grid, kinds)
+        for kind in kinds:
+            assert_bits(t.table(kind), ring[kind])
+            assert_bits(t.hole_table(kind), hole[kind])
+
+    def test_pointwise_return_types(self, grid16):
+        # scalar offsets give numpy scalars, as the one-line forms do
+        for kind in KINDS + POTENTIAL_KINDS:
+            assert type(eval_polar_kernel(kind, 3, 2, grid16)) is np.float64
+            assert type(eval_hole_kernel(kind, 3, 2, grid16)) is np.float64
+        assert type(eval_H1(0.5, 1.0)) is np.float64
+        assert type(eval_H2(0.5, 1.0)) is np.float64
+
+
+def test_tabulation_peak_memory():
+    # one N=512 tabulation peaked at 102.3 MiB when every antiderivative's
+    # lattice was kept to the end and each closed form made a temporary per
+    # operation; no such growth may come back
+    grid = build_polar_grid(1.0, 512, 0.99)
+    tracemalloc.start()
+    try:
+        tabulate_polar_kernels(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 102.3 * 2**20

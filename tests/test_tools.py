@@ -1,14 +1,22 @@
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "codelines.py"
+import numpy as np
+
+from thindisk import kernels_polar
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def _codelines():
-    spec = importlib.util.spec_from_file_location("codelines", TOOL)
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _codelines():
+    return _tool("codelines")
 
 
 SAMPLE = '''"""Module
@@ -46,3 +54,44 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [ln.split()[0] for ln in lines] == ["8", "1", "9"]
     assert lines[-1].split()[1] == "total"
+
+
+def _fingerprint_lines(capsys, argv):
+    assert _tool("fingerprint").main(argv) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_fingerprint_is_reproducible(capsys):
+    first = _fingerprint_lines(capsys, ["--n", "8"])
+    assert first == _fingerprint_lines(capsys, ["--n", "8"])
+    names = [line.split("  ", 1)[1] for line in first]
+    assert len(set(names)) == len(names)
+    for name in ("polar n=8 beta0=0.7 hole_spectrum pt", "cartesian n=8 spectrum yy",
+                 "pointwise eval_hole_kernel tt offsets 3",
+                 "polar n=33 beta0=0.99 d2_2 analytic solve_polar_direct error_norms theta",
+                 "cartesian n=16 log_spiral central-difference solve_softened_cartesian direct comp_v",
+                 "polar n=16 beta0=0.7 d2 analytic polar_potential"):
+        assert name in names
+    assert all(len(line.split("  ", 1)[0]) == 64 for line in first)
+
+
+def test_fingerprint_sees_one_ulp(capsys, monkeypatch):
+    # one hole-table entry one ulp up changes that array's line and no other:
+    # the tool reads tables through PolarKernelTables.hole_table, which no
+    # spectrum reads, and no solve runs at the table size N=8
+    before = _fingerprint_lines(capsys, ["--n", "8"])
+    read = kernels_polar.PolarKernelTables.hole_table
+
+    def bumped(self, kind):
+        table = read(self, kind)
+        if (self.grid.n, self.grid.beta0, kind) != (8, 0.99, "rt"):
+            return table
+        table = table.copy()
+        table[2, 3] = np.nextafter(table[2, 3], np.inf)
+        return table
+
+    monkeypatch.setattr(kernels_polar.PolarKernelTables, "hole_table", bumped)
+    after = _fingerprint_lines(capsys, ["--n", "8"])
+    changed = [b.split("  ", 1)[1] for a, b in zip(before, after) if a != b]
+    assert len(after) == len(before)
+    assert changed == ["polar n=8 beta0=0.99 hole_table rt"]
