@@ -89,10 +89,10 @@ class KalnajsConfig:
     m: int = 0
 
     def __post_init__(self):
-        if not self.u_min < 0:
-            raise ValueError("u_min must be negative")
-        if not self.alpha_max > 0:
-            raise ValueError("alpha_max must be positive")
+        if not -np.inf < self.u_min < 0:
+            raise ValueError("u_min must be negative and finite")
+        if not 0 < self.alpha_max < np.inf:
+            raise ValueError("alpha_max must be positive and finite")
         if self.n_alpha < 2 or self.n_u < 2:
             raise ValueError("need at least two quadrature nodes per axis")
 
@@ -141,8 +141,8 @@ def kalnajs_potential_axisym(sigma_of_r, radii, cfg: KalnajsConfig | None = None
     """
     cfg = cfg or KalnajsConfig()
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if np.any(radii <= 0):
-        raise ValueError("query radii must be positive")
+    if not np.all((radii > 0) & (radii < np.inf)):
+        raise ValueError("query radii must be positive and finite")
 
     u = np.linspace(cfg.u_min, 0.0, cfg.n_u)
     wu = np.full(cfg.n_u, u[1] - u[0])

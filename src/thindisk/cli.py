@@ -234,7 +234,8 @@ def cmd_kalnajs(args) -> int:
         raise UsageError("the log-spectral solver needs an axisymmetric model (d2)")
     cfg = KalnajsConfig(u_min=args.u_min, alpha_max=args.alpha_max,
                         n_alpha=args.n_alpha, n_u=args.N)
-    radii = np.linspace(args.r_min, args.r_max, args.points)
+    with np.errstate(invalid="ignore"):     # a non-finite end gives nan radii, refused below
+        radii = np.linspace(args.r_min, args.r_max, args.points)
     phi = kalnajs_potential_axisym(lambda r: model.density(r, np.zeros_like(r)), radii, cfg)
     _write_text(args.out, csv_text(["r", "phi"], zip(radii, phi)))
     return 0

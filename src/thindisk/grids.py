@@ -114,10 +114,10 @@ class PolarGrid:
 def build_cartesian_grid(half_width: float, n: int) -> CartesianGrid:
     """Build the uniform n x n grid on [-half_width, half_width]^2.
 
-    Raises ValueError for non-positive half_width or n < 2.
+    Raises ValueError for a non-positive or non-finite half_width or n < 2.
     """
-    if not half_width > 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    if not 0 < half_width < np.inf:
+        raise ValueError(f"half_width must be positive and finite, got {half_width}")
     if n < 2:
         raise ValueError(f"need at least 2 zones per side, got n={n}")
     m = float(half_width)
@@ -141,10 +141,10 @@ def build_polar_grid(outer_radius: float, n: int, beta0: float) -> PolarGrid:
 
     The radial shrink factor is ratio = beta0*(1 - dtheta) with
     dtheta = 2*pi/n, which must land in (0, 1); that requires dtheta < 1,
-    i.e. n >= 7.
+    i.e. n >= 7.  outer_radius must be positive and finite.
     """
-    if not outer_radius > 0:
-        raise ValueError(f"outer_radius must be positive, got {outer_radius}")
+    if not 0 < outer_radius < np.inf:
+        raise ValueError(f"outer_radius must be positive and finite, got {outer_radius}")
     if not 0.0 < beta0 < 1.0:
         raise ValueError(f"beta0 must lie in (0, 1), got {beta0}")
     if n < 2:

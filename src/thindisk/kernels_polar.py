@@ -8,12 +8,13 @@ terms have exact double antiderivatives; the theta-slope kind is trapezoid
 based like the radial family.  Matching "hole" kernels integrate over the
 small disk [0, r_edges[0]] that the logarithmic rings never reach.
 
-All tables are dimensionless functions of the index offsets alone.  The
-radial-slope kinds (RADIAL_KINDS) carry a target-radius factor r_i in the
-force; since r_i / r_src = ratio**-di depends on the offset alone, their
-spectra fold it into the table (spectrum, hole_spectrum) and the solver
-convolves the slope plane times r_src.  The tables stay unscaled, and the
-overall orientation sign lives in solver.py.
+All tables are dimensionless functions of the index offsets alone.  A
+kind's force or potential term carries the target radius r_i to the power
+RADIUS_POWER[kind] (the potential's outer r_i included); since r_i / r_src
+= ratio**-di depends on the offset alone, its spectra fold (r_i / r_src)**p
+into the table (spectrum, hole_spectrum) and the solver convolves the
+input plane times r_src**p.  The tables stay unscaled, and the overall
+orientation sign lives in solver.py.
 
 The kind tags: "r0", "rr", "rt" build the radial force from (density,
 d/dr slope, d/dtheta slope); "t0", "tr", "tt" build the azimuthal force;
@@ -32,8 +33,9 @@ from .kernels_cartesian import _cached, _log_plus_hypot, _point_corners
 
 KINDS = ("r0", "rr", "rt", "t0", "tr", "tt")
 POTENTIAL_KINDS = ("p0", "pr", "pt")
-# the kinds whose force or potential term carries the target radius r_i
-RADIAL_KINDS = ("rr", "tr", "pr")
+# the power of the target radius r_i that a kind's force or potential term
+# carries; the only statement of that rule, for both backends
+RADIUS_POWER = {"rr": 1, "tr": 1, "p0": 1, "pt": 1, "pr": 2}
 
 
 class SingularEvaluationError(ValueError):
@@ -305,9 +307,9 @@ class PolarKernelTables:
         return self.hole_tables[kind]
 
     def _folded(self, kind: str, hole: bool) -> np.ndarray:
-        """The ring or hole table, times r_i / r_src for RADIAL_KINDS."""
-        a = (self.hole_tables if hole else self.tables)[kind]
-        return a / _radius_ratios(self.grid)[hole] if kind in RADIAL_KINDS else a
+        """The ring or hole table, times (r_i / r_src)**RADIUS_POWER[kind]."""
+        p, a = RADIUS_POWER.get(kind, 0), (self.hole_tables if hole else self.tables)[kind]
+        return a / _radius_ratios(self.grid)[hole] ** p if p else a
 
     def spectrum(self, kind: str) -> np.ndarray:
         return _cached(self._cache, ("ring", kind),

@@ -6,9 +6,11 @@ numerical and analytic fields compare directly (``thindisk solve --sign
 repulsive`` negates them on output).  ``assemble`` is the one spectral
 recipe: a term table of (output, kernel kind, input plane) rows run over a
 tables object's kernels by zero-padded FFT or by direct summation, for the
-forces here and for baselines.softened_potential.  The polar radial-slope
-terms (kernels_polar.RADIAL_KINDS) carry the target radius r_i: the direct
-sum multiplies by it, the FFT sum folds it into the kernel spectra.  Note
+forces here and for baselines.softened_potential.  A polar term carries the
+target radius r_i to the power kernels_polar.RADIUS_POWER gives its kind,
+for the forces' radial-slope terms and every potential term alike: the
+direct sum multiplies by r_i**p, the FFT sum folds (r_i / r_src)**p into
+the kernel spectra and reads the input times r_src**p.  Note
 the two polar kernel families come out of their defining integrals with
 opposite orientations (the radial family is outward-positive, the
 azimuthal family forward-positive); the radial flip happens here, not in
@@ -24,7 +26,7 @@ from .convolve import accumulate, cropped_ifft, cropped_irfft2, direct_convolve,
     padded_rfft2, ring_convolve_direct
 from .grids import CartesianGrid, PolarGrid
 from .kernels_cartesian import PARITY, KernelTables
-from .kernels_polar import POTENTIAL_KINDS, RADIAL_KINDS, PolarKernelTables, \
+from .kernels_polar import POTENTIAL_KINDS, RADIUS_POWER, PolarKernelTables, \
     tabulate_polar_kernels
 from .models import DensityField
 
@@ -66,7 +68,7 @@ class ForceField:
 FORCE_COMPONENTS = ("force component comp_u", "force component comp_v")
 
 # Term tables: a row (output, kernel kind, input plane) adds conv(kind, plane) to an
-# output, times r_i for RADIAL_KINDS; polar rows also run over the hole tables and rings.
+# output, times r_i**RADIUS_POWER[kind]; polar rows also run over the hole tables and rings.
 CARTESIAN_TERMS = (
     (0, "x0", "values"), (0, "xx", "slope_u"), (0, "xy", "slope_v"),
     (1, "y0", "values"), (1, "yx", "slope_u"), (1, "yy", "slope_v"),
@@ -86,17 +88,17 @@ def _direct_sums(terms, field: DensityField, tables) -> dict:
     outs = {}
     for table, prefix, conv in passes:
         for out, kind, plane in terms:
-            term = conv(table(kind), getattr(field, prefix + plane))
-            term = grid.r_centers[:, None] * term if kind in RADIAL_KINDS else term
+            p, term = RADIUS_POWER.get(kind, 0), conv(table(kind), getattr(field, prefix + plane))
+            term = grid.r_centers[:, None] ** p * term if p else term
             outs[out] = outs[out] + term if out in outs else term
     return outs
 
 
-def _source(field: DensityField, prefix: str, plane: str, radial: bool) -> np.ndarray:
+def _source(field: DensityField, prefix: str, plane: str, p: int) -> np.ndarray:
     """A plane, or with prefix "hole_" a hole ring, times the source radius
-    if it feeds RADIAL_KINDS (whose spectra hold r_i / r_src)."""
+    to the power p of the kinds it feeds (whose spectra hold (r_i / r_src)**p)."""
     a, grid = getattr(field, prefix + plane), field.grid
-    return (grid.hole_radius_mid if prefix else grid.r_centers[:, None]) * a if radial else a
+    return (grid.hole_radius_mid if prefix else grid.r_centers[:, None]) ** p * a if p else a
 
 
 def _fft_sums(terms, field: DensityField, tables) -> dict:
@@ -108,7 +110,7 @@ def _fft_sums(terms, field: DensityField, tables) -> dict:
     imaginary = {kind for kind, (r, c) in PARITY.items() if r * c < 0}
     kernels = {kind: (tables.spectrum(kind), PARITY.get(kind, (1, 1))[0]) for _, kind, _ in terms}
     # each row reads the _source of its plane; each source is transformed once
-    rows = [(out, kind, (plane, kind in RADIAL_KINDS)) for out, kind, plane in terms]
+    rows = [(out, kind, (plane, RADIUS_POWER.get(kind, 0))) for out, kind, plane in terms]
     sources = dict.fromkeys(key for _, _, key in rows)
     accs = {}
     for key in sources:
@@ -131,24 +133,26 @@ def _fft_sums(terms, field: DensityField, tables) -> dict:
 def assemble(terms, field: DensityField, tables, backend: str = "fft") -> list:
     """Run a term table; one (n, n) array per output, in output order.
 
-    "direct" convolves term by term (the O(n^4) oracle), multiplies the
-    RADIAL_KINDS terms by r_i and sums in table order, plane terms before
-    hole-ring terms.  "fft" transforms each input once into one spectral
-    accumulator per output and inverts each accumulator once: polar ones
-    along r only, adding the hole-ring products to their theta spectra before
-    one theta inverse per output.  It reads an input of RADIAL_KINDS rows
-    times the source radius, their kernel spectra holding r_i / r_src."""
+    "direct" convolves term by term (the O(n^4) oracle), multiplies each
+    polar term by r_i**RADIUS_POWER[kind] and sums in table order, plane
+    terms before hole-ring terms.  "fft" transforms each input once into one
+    spectral accumulator per output and inverts each accumulator once: polar
+    ones along r only, adding the hole-ring products to their theta spectra
+    before one theta inverse per output.  It reads the input of a row times
+    r_src**p, p = RADIUS_POWER[kind], the kernel spectra holding
+    (r_i / r_src)**p.  Tables built on another grid than the field's raise
+    ValueError: every solver and polar_potential run this one check."""
+    if field.grid is not tables.grid and field.grid != tables.grid:
+        raise ValueError("density field and kernel tables were built on different grids")
     outs = {"fft": _fft_sums, "direct": _direct_sums}[backend](terms, field, tables)
     return [outs[k] for k in sorted(outs)]
 
 
 def _force(coords: str, field: DensityField, tables, backend: str) -> ForceField:
     """The force of a ``coords`` solver; a field of the other geometry, or
-    tables of another grid, raise ValueError."""
+    tables of another grid (assemble), raise ValueError."""
     if field.grid.coords != coords:
         raise ValueError(f"a {coords} solver cannot solve a {field.grid.coords} density field")
-    if field.grid is not tables.grid and field.grid != tables.grid:
-        raise ValueError("density field and kernel tables were built on different grids")
     terms = POLAR_TERMS if coords == "polar" else CARTESIAN_TERMS
     u, v = finite(lambda: assemble(terms, field, tables, backend), *FORCE_COMPONENTS)
     if coords == "polar":
@@ -171,9 +175,10 @@ def solve_polar(field: DensityField, tables: PolarKernelTables) -> ForceField:
 
     The radial-slope terms carry a target-radius factor r_i, and on the
     geometric grid r_i / r_src depends on the offset alone: the kernel
-    spectra hold it and the slope planes are read times r_src, so every sum
-    stays a pure offset convolution.  The azimuthal force needs no 1/r_i
-    prefactor because it cancels against the kernel's own scale.
+    spectra hold it and the slope planes are read times r_src
+    (kernels_polar.RADIUS_POWER), so every sum stays a pure offset
+    convolution.  The azimuthal force needs no 1/r_i prefactor because it
+    cancels against the kernel's own scale.
     """
     return _force("polar", field, tables, "fft")
 
@@ -188,21 +193,23 @@ def polar_potential(field: DensityField, tables: PolarKernelTables | None = None
 
     Uses the potential-kernel family (exact radial antiderivatives,
     two-node trapezoid in theta) with density and slope terms plus the hole
-    ring; returns shape (n, n).  Tables are tabulated on demand when not
-    supplied with the potential kinds included.  The field is assembled
-    scaled by 2**-e, e the binary exponent of its largest magnitude, and the
-    result scaled back: powers of two scale exactly, and the unnormalized
-    spectral products, which would leave the double range long before the
-    potential does, stay near the kernels' own scale.  A result holding inf
-    or nan raises FloatingPointError.
+    ring; returns shape (n, n).  Every term carries the target radius r_i
+    by the forces' rule (kernels_polar.RADIUS_POWER), so the FFT sums stay
+    pure offset convolutions.  Tables are tabulated on demand when not
+    supplied with the potential kinds included; potential tables of another
+    grid raise ValueError (assemble), as in the solvers.  The field is
+    assembled scaled by 2**-e, e the binary exponent of its largest
+    magnitude, and the result scaled back: powers of two scale exactly, and
+    the unnormalized spectral products, which would leave the double range
+    long before the potential does, stay near the kernels' own scale.  A
+    result holding inf or nan raises FloatingPointError.
     """
     grid = field.grid
     if grid.coords != "polar":
         raise ValueError("polar_potential needs a polar density field")
     if tables is None or any(k not in tables.tables for k in POTENTIAL_KINDS):
         tables = tabulate_polar_kernels(grid, kinds=POTENTIAL_KINDS)
-    r = grid.r_centers[:, None]
     _, e = np.frexp(max(np.abs(a).max() for a in field.planes().values()))
     unit = field.scaled(np.ldexp(1.0, -e))
-    return finite(lambda: [np.ldexp(-r * assemble(POTENTIAL_TERMS, unit, tables)[0], e)],
+    return finite(lambda: [np.ldexp(-assemble(POTENTIAL_TERMS, unit, tables)[0], e)],
                   "potential")[0]

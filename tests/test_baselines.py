@@ -224,7 +224,16 @@ class TestKalnajs:
             KalnajsConfig(alpha_max=-3.0)
         with pytest.raises(ValueError):
             KalnajsConfig(n_u=1)
+        with pytest.raises(ValueError, match="^u_min must be negative and finite$"):
+            KalnajsConfig(u_min=-np.inf)
+        with pytest.raises(ValueError, match="^alpha_max must be positive and finite$"):
+            KalnajsConfig(alpha_max=np.inf)
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
             kalnajs_potential_axisym(lambda r: np.zeros_like(r), [0.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_radius_rejected(self, bad):
+        with pytest.raises(ValueError, match="^query radii must be positive and finite$"):
+            kalnajs_potential_axisym(lambda r: np.zeros_like(r), [bad, 0.5])

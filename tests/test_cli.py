@@ -287,6 +287,20 @@ class TestBadInput:
         # a force file in place of a density file: its Fy block follows the Fx block
         (["solve", "--input", "{force}"], None, 2,
          "error: 8 unexpected line(s) after the density block"),
+        # a non-finite grid extent is refused before anything is sampled
+        (["solve", "--M", "inf"], None, 1,
+         "error: half_width must be positive and finite, got inf"),
+        (["kernels", "--M", "inf"], None, 1,
+         "error: half_width must be positive and finite, got inf"),
+        (["solve", "--coords", "polar", "--M", "inf"], None, 1,
+         "error: outer_radius must be positive and finite, got inf"),
+        # the log-spectral baseline refuses non-finite radii and truncations
+        (["kalnajs", "--r-max", "nan"], None, 1, "error: query radii must be positive and finite"),
+        (["kalnajs", "--r-min", "nan"], None, 1, "error: query radii must be positive and finite"),
+        (["kalnajs", "--r-max", "inf"], None, 1, "error: query radii must be positive and finite"),
+        (["kalnajs", "--u-min=-inf"], None, 1, "error: u_min must be negative and finite"),
+        (["kalnajs", "--alpha-max", "inf"], None, 1,
+         "error: alpha_max must be positive and finite"),
         (["singular-study", "--k-min", "26", "--k-max", "27"], None, 3,
          "numerical failure: 1 - cos(2**-27) rounds to 0 in double precision "
          "(k must be at most 26)"),

@@ -150,3 +150,10 @@ class TestGeometryFacts:
         # the facts are class attributes: equality and hashing stay by parameters
         names = {f.name for f in dataclasses.fields(grid)}
         assert not names & {"coords", "components", "padded_axes", "center_axes"}
+
+
+@pytest.mark.parametrize("coords,name", [("cartesian", "half_width"), ("polar", "outer_radius")])
+@pytest.mark.parametrize("m", [np.inf, np.nan])
+def test_extent_must_be_finite(coords, name, m):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {m}$"):
+        build_grid(coords, m, 16, 0.9 if coords == "polar" else None)

@@ -230,11 +230,33 @@ class TestPolarPotential:
         field = sample_density(D2Disk(), grid)
         tables = tabulate_polar_kernels(grid, kinds=POTENTIAL_KINDS)
         phi = polar_potential(field, tables)
-        np.testing.assert_array_equal(
-            phi, -grid.r_centers[:, None] * assemble(POTENTIAL_TERMS, field, tables)[0])
+        np.testing.assert_array_equal(phi, -assemble(POTENTIAL_TERMS, field, tables)[0])
         for scale in (1e303, 1e305):
             scaled = polar_potential(field.scaled(scale), tables)
             assert np.abs(scaled - scale * phi).max() < 1e-12 * scale * np.abs(phi).max()
+
+    def test_tables_of_another_grid_refused(self):
+        # the solvers' check: beta0 = 0.7 tables on a beta0 = 0.99 field
+        # gave min phi = -3487.6 where the right tables give -0.922
+        grid = build_polar_grid(1.0, 32, 0.99)
+        other = tabulate_polar_kernels(build_polar_grid(1.0, 32, 0.7), kinds=POTENTIAL_KINDS)
+        with pytest.raises(ValueError, match="^density field and kernel tables were built on "
+                                             "different grids$"):
+            polar_potential(sample_density(D2Disk(), grid), other)
+
+    @pytest.mark.parametrize("n,beta0,tol", [(16, 0.99, 1e-14), (33, 0.99, 1e-14),
+                                             (64, 0.99, 1e-14), (33, 0.6, 1e-10)])
+    @pytest.mark.parametrize("density", ["d2", "d2_2", "random"])
+    def test_fft_equals_direct(self, n, beta0, tol, density):
+        # every potential term carries r_i by the forces' rule, inside the
+        # convolution; an r_i applied after the inverse transform scaled the
+        # inner rings' round-off up to 2e-5 of max|phi| at (33, 0.6)
+        grid = build_polar_grid(1.0, n, beta0)
+        tables = tabulate_polar_kernels(grid, kinds=POTENTIAL_KINDS)
+        field = _random_field(grid, n) if density == "random" else \
+            sample_density({"d2": D2Disk, "d2_2": D2PairDisk}[density](), grid)
+        want = -assemble(POTENTIAL_TERMS, field, tables, "direct")[0]
+        assert np.abs(polar_potential(field, tables) - want).max() <= tol * np.abs(want).max()
 
     def test_overflowing_potential_raises(self):
         # the same guard as the force solves: no numpy warning, a refused
@@ -320,8 +342,7 @@ class TestBackends:
         np.testing.assert_array_equal(out.comp_u, -fr)
         np.testing.assert_array_equal(out.comp_v, ft)
         (phi,) = assemble(POTENTIAL_TERMS, field, tables)
-        np.testing.assert_array_equal(polar_potential(field, tables),
-                                      -grid.r_centers[:, None] * phi)
+        np.testing.assert_array_equal(polar_potential(field, tables), -phi)
 
 
 @pytest.mark.parametrize("solve", [solve_cartesian, solve_cartesian_direct])

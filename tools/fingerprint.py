@@ -9,9 +9,10 @@ for production-size tables): Cartesian quadrants and spectra, and polar
 ring and hole tables and spectra of all nine kinds at beta0 = 0.99 and 0.7.
 The other cases run at N = 16 and 33: pointwise kernel evaluation,
 ``sample_density`` planes, every ``solve_*`` and its direct twin,
-``polar_potential``, the softened solve and ``error_norms``.  A line hashes
-the value's type, dtype, shape and bytes, so sign bits count; a case that
-raises prints its exception instead.
+``polar_potential`` and its direct-summation oracle, the softened solve
+and ``error_norms``.  A line hashes the value's type, dtype, shape and
+bytes, so sign bits count; a case that raises prints its exception
+instead.
 """
 from __future__ import annotations
 
@@ -83,6 +84,8 @@ def _solves(grid):
                 yield f"{case} sample {name}", plane
             if polar:
                 yield f"{case} polar_potential", solver.polar_potential(field, tables)
+                yield f"{case} direct potential", \
+                    -solver.assemble(solver.POTENTIAL_TERMS, field, tables, "direct")[0]
                 solves = (solver.solve_polar, solver.solve_polar_direct)
             else:
                 solves = (solver.solve_cartesian, solver.solve_cartesian_direct)
