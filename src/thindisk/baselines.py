@@ -67,8 +67,8 @@ class SofteningConfig:
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("softening length must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,8 @@ def kalnajs_potential_axisym(sigma_of_r, radii, cfg: KalnajsConfig | None = None
     """
     cfg = cfg or KalnajsConfig()
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if radii.size == 0:
+        raise ValueError("need at least one query radius")
     if not np.all((radii > 0) & (radii < np.inf)):
         raise ValueError("query radii must be positive and finite")
 

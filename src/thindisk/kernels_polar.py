@@ -16,13 +16,16 @@ into the table (spectrum, hole_spectrum) and the solver convolves the
 input plane times r_src**p.  The tables stay unscaled, and the overall
 orientation sign lives in solver.py.
 
+Tabulation forms the chord terms once on the whole lattice of radial
+limits by trapezoid nodes, then evaluates each closed form, written as its
+one-line expression, one block of table rows at a time.
+
 The kind tags: "r0", "rr", "rt" build the radial force from (density,
 d/dr slope, d/dtheta slope); "t0", "tr", "tt" build the azimuthal force;
 "p0", "pr", "pt" are the analogous kernels for the in-plane potential.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +39,8 @@ POTENTIAL_KINDS = ("p0", "pr", "pt")
 # the power of the target radius r_i that a kind's force or potential term
 # carries; the only statement of that rule, for both backends
 RADIUS_POWER = {"rr": 1, "tr": 1, "p0": 1, "pt": 1, "pr": 2}
+# table rows that tabulate_polar_kernels fills per pass over the kinds
+BLOCK_ROWS = 32
 
 
 class SingularEvaluationError(ValueError):
@@ -80,105 +85,46 @@ def _chord(t, u):
 #   d2/du dt of _az1 = t^3 sin(u)/F^3
 #   d/dt    of _az2 = sin(u) * (radial antiderivative of t^2/F^3)
 #   d/dt    of _pot0 = t/F,   d/dt of _pot1 = t^2/F
-#
-# Each closed form, in the comment above it, is evaluated in place in at
-# most two arrays of L's shape (the whole lattice when tabulating), with
-# its operations and their operands in the written order, so the values
-# are the one-line form's to the bit, NaN signs included.  t and c may be
-# a column and a row of the lattice; L is always an array.
 
 
 def _h1(t, c, s, F, L):
-    # -c * L + (2.0 * c * t - 1.0) / F
-    out = np.multiply(-c, L, out=np.empty_like(L))
-    tail = np.multiply(2.0 * c, t, out=np.empty_like(L))
-    tail -= 1.0
-    tail /= F
-    out += tail
-    return out
+    return -c * L + (2.0 * c * t - 1.0) / F
 
 
 def _h2(t, c, s, F, L):
-    # -((3.0 * c * c - 1.0) * L + (-6.0 * t * c * c + 3.0 * c + t * t * c + t) / F)
-    tail = np.multiply(-6.0 * t, c, out=np.empty_like(L))
-    tail *= c
-    tail += 3.0 * c
-    out = np.multiply(t * t, c, out=np.empty_like(L))
-    tail += out
-    tail += t
-    tail /= F
-    np.multiply(3.0 * c * c - 1.0, L, out=out)
-    out += tail
-    return np.negative(out, out=out)
+    return -((3.0 * c * c - 1.0) * L + (-6.0 * t * c * c + 3.0 * c + t * t * c + t) / F)
 
 
 def eval_H1(t, theta) -> np.ndarray:
     """Radial antiderivative of t*(1 - t*cos(theta))/F^3."""
     _check_regular(t, theta)
-    return _h1(*_chord(t, theta))[()]
+    return _h1(*_chord(t, theta))
 
 
 def eval_H2(t, theta) -> np.ndarray:
     """Radial antiderivative of t^2*(1 - t*cos(theta))/F^3."""
     _check_regular(t, theta)
-    return _h2(*_chord(t, theta))[()]
+    return _h2(*_chord(t, theta))
 
 
 def _az0(t, c, s, F, L):
-    # -(F + c * L)
-    out = np.multiply(c, L, out=np.empty_like(L))
-    np.add(F, out, out=out)
-    return np.negative(out, out=out)
+    return -(F + c * L)
 
 
 def _az1(t, c, s, F, L):
-    # -(0.5 * (t + 3.0 * c) * F + 0.5 * (3.0 * c * c - 1.0) * L)
-    out = np.add(t, 3.0 * c, out=np.empty_like(L))
-    out *= 0.5
-    out *= F
-    out += 0.5 * (3.0 * c * c - 1.0) * L
-    return np.negative(out, out=out)
+    return -(0.5 * (t + 3.0 * c) * F + 0.5 * (3.0 * c * c - 1.0) * L)
 
 
 def _az2(t, c, s, F, L):
-    # s * L - (t * (1.0 - 2.0 * c * c) + c) / (s * F)
-    tail = np.multiply(t, 1.0 - 2.0 * c * c, out=np.empty_like(L))
-    tail += c
-    out = np.multiply(s, F, out=np.empty_like(L))
-    tail /= out
-    np.multiply(s, L, out=out)
-    out -= tail
-    return out
+    return s * L - (t * (1.0 - 2.0 * c * c) + c) / (s * F)
 
 
 def _pot0(t, c, s, F, L):
-    # F + c * L
-    out = np.multiply(c, L, out=np.empty_like(L))
-    return np.add(F, out, out=out)
+    return F + c * L
 
 
 def _pot1(t, c, s, F, L):
-    # 0.5 * ((t + 3.0 * c) * F + (3.0 * c * c - 1.0) * L)
-    out = np.add(t, 3.0 * c, out=np.empty_like(L))
-    out *= F
-    out += (3.0 * c * c - 1.0) * L
-    out *= 0.5
-    return out
-
-
-def _lattice_corners(values, plus, minus):
-    """Corner provider over a lattice; values(fn) is fn on the whole lattice.
-
-    Lattice rows ``plus``/``minus`` hold the source cells' radial limits
-    tp/tm; column k is node up of cell k and um of cell k - 1.  corners(fn)
-    gives (a - b, c - d, c, d) as _assemble names them; each call forms the
-    radial differences once, over every column, for both of a cell's nodes.
-    """
-    def corners(fn):
-        c = values(fn)
-        d = c[plus] - c[minus]
-        return d[:, :-1], d[:, 1:], c[plus, 1:], c[minus, 1:]
-    return corners
+    return 0.5 * ((t + 3.0 * c) * F + (3.0 * c * c - 1.0) * L)
 
 
 def _theta_nodes(dj, dtheta):
@@ -201,49 +147,30 @@ def _assemble(kind, corners, ratio_correction, dtheta):
     c = (tp, um) and d = (tm, um): the radial limits tp > tm of the source
     cell crossed with the two trapezoid nodes.  ratio_correction is
     r_src/r_target (beta**di for ring cells, r0/r_i for hole cells); it
-    multiplies the zeroth-order kernel inside the slope kinds.  Each sum is
-    formed in a new array, in the order of the one-line form above it; what
-    corners returns is never written, as tabulation shares it between kinds.
+    multiplies the zeroth-order kernel inside the slope kinds.
     """
     def trap(f):
-        # 0.5 * (a - b + c - d) * dtheta
         ab, _, c, d = corners(f)
-        out = ab + c
-        out -= d
-        out *= 0.5
-        out *= dtheta
-        return out
+        return 0.5 * (ab + c - d) * dtheta
 
     def trap_weighted(f):
-        # node weight is (thetabar - theta_src) = +-dtheta/2:
-        # 0.25 * dtheta * (a - b - (c - d)) * dtheta
+        # node weight is (thetabar - theta_src) = +-dtheta/2
         ab, cd, _, _ = corners(f)
-        out = ab - cd
-        out *= 0.25 * dtheta
-        out *= dtheta
-        return out
+        return 0.25 * dtheta * (ab - cd) * dtheta
 
     def corner(f):
-        # a - b - (c - d)
         ab, cd, _, _ = corners(f)
         return ab - cd
 
-    def slope(total, f1, f0):
-        # total(f1) - ratio_correction * total(f0)
-        out, tail = total(f1), total(f0)
-        tail *= ratio_correction
-        out -= tail
-        return out
-
     formulas = {
         "r0": lambda: trap(_h1),
-        "rr": lambda: slope(trap, _h2, _h1),
+        "rr": lambda: trap(_h2) - ratio_correction * trap(_h1),
         "rt": lambda: trap_weighted(_h1),
         "t0": lambda: corner(_az0),
-        "tr": lambda: slope(corner, _az1, _az0),
+        "tr": lambda: corner(_az1) - ratio_correction * corner(_az0),
         "tt": lambda: trap_weighted(_az2),
         "p0": lambda: trap(_pot0),
-        "pr": lambda: slope(trap, _pot1, _pot0),
+        "pr": lambda: trap(_pot1) - ratio_correction * trap(_pot0),
         "pt": lambda: trap_weighted(_pot0),
     }
     if kind not in formulas:
@@ -320,15 +247,34 @@ class PolarKernelTables:
                        lambda: np.fft.rfft(self._folded(kind, True), axis=1))
 
 
+def _block_corners(terms, h):
+    """Corner provider over a block of lattice rows, terms = _chord's there.
+
+    Rows :h hold the source cells' radial limits tp and rows h: their limits
+    tm (one row broadcasts over all); column k is node up of cell k and um of
+    cell k - 1.  corners(f) gives (a - b, c - d, c, d) as _assemble names
+    them, from one evaluation of f per block.
+    """
+    memo = {}
+
+    def corners(f):
+        if f not in memo:
+            v = f(*terms)
+            d = v[:h] - v[h:]
+            memo[f] = d[:, :-1], d[:, 1:], v[:h, 1:], v[h:, 1:]
+        return memo[f]
+    return corners
+
+
 def tabulate_polar_kernels(grid: PolarGrid, kinds=KINDS, threads: int = 1) -> PolarKernelTables:
     """Tabulate the requested kinds over all offsets.
 
     ``kinds`` may include the potential family; force and potential tables
-    share the layout and the solver picks what it needs.  Each
-    antiderivative is evaluated once on the whole lattice of radial limits
-    by trapezoid nodes (um at dj is up at dj + 1), for kinds listed in the
-    order of KINDS and POTENTIAL_KINDS; tm stays b*tp, which differs from tp
-    at di + 1 in the last bit.  Tables are bit-identical to
+    share the layout and the solver picks what it needs.  _chord is formed
+    once on the whole lattice of radial limits by trapezoid nodes (um at dj
+    is up at dj + 1), then the tables are filled BLOCK_ROWS rows at a time
+    from the lattice rows each block reads.  tm stays b*tp, which differs
+    from tp at di + 1 in the last bit.  Tables are bit-identical to
     eval_polar_kernel and eval_hole_kernel; ``threads`` is ignored.  A grid
     so stretched that a table holds inf or nan raises FloatingPointError
     naming the first such kind.
@@ -338,18 +284,23 @@ def tabulate_polar_kernels(grid: PolarGrid, kinds=KINDS, threads: int = 1) -> Po
     def tabulate():
         tp, tm = _radial_limits(wrap_offsets(n), grid)
         t = np.concatenate([tp, tm, [0.0]])     # ring limits, then the hole's inner one
-        chord = _chord(t[:, None], _theta_nodes(np.arange(n + 1), grid.dtheta)[0][None, :])
-        # only the two latest antiderivatives' lattices and radial
-        # differences are kept; kinds in KINDS or POTENTIAL_KINDS order use
-        # each antiderivative while it is among them, so each is evaluated
-        # and differenced once and the older lattices are freed early
-        recent = functools.lru_cache(2)
-        values = recent(lambda f: f(*chord))
-        ring = recent(_lattice_corners(values, slice(0, 2 * n), slice(2 * n, 4 * n)))
-        # hole limits th(i) are the ring limits tp at di = i = 1..n
-        hole = recent(_lattice_corners(values, slice(1, n + 1), slice(4 * n, None)))
-        lattices = list(zip((ring, hole), _radius_ratios(grid)))
-        return [_assemble(k, *lattice, grid.dtheta) for k in kinds for lattice in lattices]
+        # the chord stays whole: freeing its two lattice-sized arrays raises
+        # glibc's mmap threshold above a polar solve's spectral buffers, which
+        # then reuse the heap; blocked chord arrays leave every solve faulting
+        t, c, s, F, L = _chord(t[:, None], _theta_nodes(np.arange(n + 1), grid.dtheta)[0][None, :])
+        # a ring block reads its tp rows and their tm rows 2n..; hole limits
+        # th(i) are the ring limits tp at di = i = 1..n, over the t = 0 row
+        lattices = (lambda b: np.concatenate([b, b + 2 * n]), lambda b: np.append(b + 1, 4 * n))
+        tables = []
+        for lattice, ratio in zip(lattices, _radius_ratios(grid)):
+            tables.append({k: np.empty((len(ratio), n)) for k in kinds})
+            for lo in range(0, len(ratio), BLOCK_ROWS):
+                block = np.arange(lo, min(lo + BLOCK_ROWS, len(ratio)))
+                rows = lattice(block)
+                corners = _block_corners((t[rows], c, s, F[rows], L[rows]), len(block))
+                for k in kinds:
+                    tables[-1][k][block] = _assemble(k, corners, ratio[block], grid.dtheta)
+        return [part[k] for k in kinds for part in tables]
 
     arrays = finite(tabulate, *(f"{k} {part} table" for k in kinds for part in ("ring", "hole")))
     return PolarKernelTables(grid, dict(zip(kinds, arrays[::2])), dict(zip(kinds, arrays[1::2])))

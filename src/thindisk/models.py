@@ -38,10 +38,10 @@ class D2Disk:
     sigma0: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.sigma0 > 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.sigma0 < np.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
 
     kind = "d2"
     has_analytic_slopes = True
@@ -138,6 +138,11 @@ class D2PairDisk:
 
     kind = "d2_2"
     has_analytic_slopes = True
+
+    def __post_init__(self):
+        D2Disk(self.alpha, self.sigma0)     # the same alpha and sigma0 checks
+        if not -np.inf < self.offset < np.inf:
+            raise ValueError(f"offset must be finite, got {self.offset}")
 
     def _superpose(self, part, x, y):
         """Sum of ``part(disk, x - dx0, y)`` over the two shifted disks, an

@@ -144,8 +144,9 @@ def fft_convolve_complex(kernel: np.ndarray, field: np.ndarray, pad_axes=(0, 1))
 # ---------------------------------------------------------------------------
 # Reference closed forms: the kernel modules' log, chord, antiderivative and
 # corner-sum formulas as one-line expressions, with np.where evaluating both
-# branches of the log.  The library evaluates the same operations in place
-# and shares subexpressions; these pin its values to the bit.
+# branches of the log, and the polar tables from whole-lattice evaluations.
+# The library shares subexpressions, forms the log argument by branch and
+# tabulates one block of rows at a time; these pin its values to the bit.
 
 def log_plus_hypot(a, b):
     """log(a + hypot(a, b)), rewritten for a < 0 to avoid cancellation."""

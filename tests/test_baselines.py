@@ -177,8 +177,9 @@ class TestSoftening:
         assert dists[-1] < 0.05 * dists[0]
 
     def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            SofteningConfig(0.0)
+        for eps in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^epsilon must be positive and finite, got {eps}$"):
+                SofteningConfig(eps)
 
     def test_polar_rejected(self):
         grid = build_polar_grid(1.0, 16, 0.9)
@@ -237,3 +238,7 @@ class TestKalnajs:
     def test_nonfinite_radius_rejected(self, bad):
         with pytest.raises(ValueError, match="^query radii must be positive and finite$"):
             kalnajs_potential_axisym(lambda r: np.zeros_like(r), [bad, 0.5])
+
+    def test_empty_radii_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one query radius$"):
+            kalnajs_potential_axisym(lambda r: np.zeros_like(r), [])

@@ -249,9 +249,22 @@ class TestBadInput:
     CASES = [
         # (argv, config, exit code, stderr line)
         (["solve", "--method", "softening", "--epsilon", "0"], None, 1,
-         "error: softening length must be positive"),
+         "error: epsilon must be positive and finite, got 0.0"),
         (["solve", "--method", "softening", "--config", "{cfg}"], "epsilon = 0", 1,
-         "error: softening length must be positive"),
+         "error: epsilon must be positive and finite, got 0.0"),
+        (["solve", "--method", "softening", "--epsilon", "inf", "--N", "16"], None, 1,
+         "error: epsilon must be positive and finite, got inf"),
+        # non-finite model parameters are refused where the model is built
+        (["solve", "--alpha", "inf", "--N", "16"], None, 1,
+         "error: alpha must be positive and finite, got inf"),
+        (["solve", "--alpha", "inf", "--N", "16", "--model", "d2_2"], None, 1,
+         "error: alpha must be positive and finite, got inf"),
+        (["solve", "--sigma0", "inf"], None, 1,
+         "error: sigma0 must be positive and finite, got inf"),
+        (["converge", "--alpha", "inf", "--N", "16,32"], None, 1,
+         "error: alpha must be positive and finite, got inf"),
+        (["kalnajs", "--alpha", "inf"], None, 1,
+         "error: alpha must be positive and finite, got inf"),
         (["solve", "--method", "softening", "--coords", "polar"], None, 1,
          "error: softened solver runs on Cartesian grids"),
         (["converge", "--model", "log-spiral", "--N", "16,32"], None, 1,
@@ -301,6 +314,7 @@ class TestBadInput:
         (["kalnajs", "--u-min=-inf"], None, 1, "error: u_min must be negative and finite"),
         (["kalnajs", "--alpha-max", "inf"], None, 1,
          "error: alpha_max must be positive and finite"),
+        (["kalnajs", "--points", "0"], None, 1, "error: need at least one query radius"),
         (["singular-study", "--k-min", "26", "--k-max", "27"], None, 3,
          "numerical failure: 1 - cos(2**-27) rounds to 0 in double precision "
          "(k must be at most 26)"),

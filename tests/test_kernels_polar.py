@@ -1,4 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,11 @@ from thindisk import kernels_cartesian, kernels_polar
 from thindisk.kernels_polar import KINDS, POTENTIAL_KINDS, SingularEvaluationError
 
 from oracles import quad_polar_kernel
+
+try:
+    import resource
+except ImportError:     # not on every platform
+    resource = None
 
 
 @pytest.fixture(scope="module")
@@ -224,8 +234,8 @@ def column_by_row(data, rows, columns):
 
 
 class TestReferenceForms:
-    """The in-place log, chord, antiderivatives and corner sums against
-    oracles' one-line forms, to the bit: test_table_equals_entrywise_eval
+    """The log, chord, antiderivatives, corner sums and blocked tables
+    against oracles' reference forms, to the bit: test_table_equals_entrywise_eval
     cannot see a changed formula, since both of its sides use it."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -281,7 +291,9 @@ class TestReferenceForms:
                                 kind, lambda fn: differenced(*cartesian[kind_of[fn]]), -3, -2, 0.1),
                             oracles.assemble_cartesian(kind, cartesian.__getitem__, -3, -2, 0.1))
 
-    @pytest.mark.parametrize("n", [64, 257])
+    # with 32-row blocks, n = 16 fills one ring block and a hole table
+    # shorter than a block; n = 33 fills whole blocks plus a remainder
+    @pytest.mark.parametrize("n", [16, 33, 64, 257])
     @pytest.mark.parametrize("beta0", [0.99, 0.7])
     def test_tables_match_full_lattice_reference(self, n, beta0):
         grid = build_polar_grid(1.0, n, beta0)
@@ -291,6 +303,28 @@ class TestReferenceForms:
         for kind in kinds:
             assert_bits(t.table(kind), ring[kind])
             assert_bits(t.hole_table(kind), hole[kind])
+
+    def test_kind_order_and_one_evaluation_per_block(self, monkeypatch):
+        grid = build_polar_grid(1.0, 33, 0.99)
+        kinds = KINDS + POTENTIAL_KINDS
+        forward = tabulate_polar_kernels(grid, kinds=kinds)
+        calls = {name: 0 for name in oracles.POLAR_FORMS}
+
+        def counted(name, form):
+            def wrapper(*terms):
+                calls[name] += 1
+                return form(*terms)
+            return wrapper
+
+        for name in oracles.POLAR_FORMS:
+            monkeypatch.setattr(kernels_polar, name, counted(name, getattr(kernels_polar, name)))
+        backward = tabulate_polar_kernels(grid, kinds=kinds[::-1])
+        blocks = -(-2 * grid.n // kernels_polar.BLOCK_ROWS) + -(-grid.n // kernels_polar.BLOCK_ROWS)
+        assert blocks == 5
+        assert calls == {name: blocks for name in oracles.POLAR_FORMS}
+        for kind in kinds:
+            assert_bits(backward.table(kind), forward.table(kind))
+            assert_bits(backward.hole_table(kind), forward.hole_table(kind))
 
     def test_pointwise_return_types(self, grid16):
         # scalar offsets give numpy scalars, as the one-line forms do
@@ -302,9 +336,10 @@ class TestReferenceForms:
 
 
 def test_tabulation_peak_memory():
-    # one N=512 tabulation peaked at 102.3 MiB when every antiderivative's
-    # lattice was kept to the end and each closed form made a temporary per
-    # operation; no such growth may come back
+    # one N=512 tabulation peaks at 54.7 MiB, for 36 MiB of tables, when
+    # the closed forms are evaluated one block of rows at a time; it
+    # peaked at 92.3 MiB with whole-lattice closed forms, and no such
+    # growth may come back
     grid = build_polar_grid(1.0, 512, 0.99)
     tracemalloc.start()
     try:
@@ -312,4 +347,34 @@ def test_tabulation_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 102.3 * 2**20
+    assert peak <= 55.0 * 2**20
+
+
+FAULT_PROBE = """
+import resource
+from thindisk import D2PairDisk, build_polar_grid, sample_density, solve_polar, tabulate_polar_kernels
+grid = build_polar_grid(1.0, 512, 0.99)
+tables = tabulate_polar_kernels(grid)
+field = sample_density(D2PairDisk(), grid)
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    solve_polar(field, tables)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(resource is None or platform.libc_ver()[0] != "glibc",
+                    reason="minor-fault counts of glibc's allocator")
+def test_warm_polar_solves_reuse_the_heap():
+    # tabulation frees the whole-lattice chord arrays (8.4 MiB each at
+    # N=512), which raises glibc's mmap threshold above a solve's 4.2 MiB
+    # spectral buffers; with a blocked chord every warm solve made about
+    # 1,500 minor faults, against 0 here
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(kernels_polar.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    faults = [int(x) for x in out.split()]
+    assert len(faults) == 4 and max(faults[2:]) <= 64, faults

@@ -84,10 +84,17 @@ class TestD2Closed:
             self.disk.potential([-1.0])
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            D2Disk(alpha=-1.0)
-        with pytest.raises(ValueError):
-            D2Disk(sigma0=0.0)
+        # both disk models refuse non-positive and non-finite values by name
+        for model in (D2Disk, D2PairDisk):
+            for name in ("alpha", "sigma0"):
+                for value in (-1.0, 0.0, np.inf, np.nan):
+                    with pytest.raises(ValueError,
+                                       match=f"^{name} must be positive and finite, got {value}$"):
+                        model(**{name: value})
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^offset must be finite, got {value}$"):
+                D2PairDisk(offset=value)
+        D2PairDisk(offset=0.0)
 
 
 # half-widths, in units of alpha, of the column x row meshes whose share of
