@@ -3,6 +3,10 @@
 Force fields from surface density via closed-form kernel tables convolved
 with zero-padded FFTs, on uniform Cartesian and logarithmic polar grids,
 plus softened and log-spectral baselines and a convergence-study harness.
+
+Importing the package loads numpy alone: scipy is imported by the function
+that calls it, so polar work never loads scipy and Cartesian work loads
+``scipy.fft`` at its first kernel spectrum.
 """
 
 from .analysis import (ConvergenceReport, error_norms, order_of_accuracy,

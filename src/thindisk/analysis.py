@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
-from scipy.integrate import quad
 
 from .baselines import SofteningConfig, solve_softened_cartesian
 from .grids import CartesianGrid, PolarGrid, build_cartesian_grid, build_grid, grid_type
@@ -32,6 +31,13 @@ def csv_text(header, rows) -> str:
             return ""
         return f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
     return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+def _require_rows(values, what: str) -> None:
+    """ValueError unless a sweep has at least one row: an empty one would
+    write a header-only report."""
+    if len(values) == 0:
+        raise ValueError(f"need at least one {what}")
 
 
 def kernel_family(grid) -> tuple:
@@ -82,7 +88,9 @@ def array_norms(diff: np.ndarray, grid: CartesianGrid | PolarGrid):
     peak = float(diff.max())
     unit = peak if 0.0 < peak < np.inf else 1.0
     diff /= unit
-    return e1, unit * float(np.sqrt(np.sum(np.square(diff, out=diff) * w))), peak
+    np.square(diff, out=diff)
+    diff *= w
+    return e1, unit * float(np.sqrt(np.sum(diff))), peak
 
 
 def error_norms(numeric: ForceField, exact: ForceField, grid=None):
@@ -94,8 +102,10 @@ def error_norms(numeric: ForceField, exact: ForceField, grid=None):
     grid = numeric.grid if grid is None else grid
     if numeric.grid != grid or exact.grid != grid:
         raise ValueError("force fields live on different grids")
-    # a polar grid names two components, so it never forms the projection
-    parts = (attrgetter("comp_u"), attrgetter("comp_v"), ForceField.radial)
+    # a polar grid names two components, so it never forms the projection;
+    # a Cartesian one forms its center radii once for both fields
+    R = grid.center_radii() if grid.coords == "cartesian" else None
+    parts = (attrgetter("comp_u"), attrgetter("comp_v"), lambda f: f.radial(R))
     return {c: array_norms(p(numeric) - p(exact), grid) for c, p in zip(grid.components, parts)}
 
 
@@ -220,8 +230,10 @@ def run_convergence(model, n_values, coords="cartesian", method="proposed",
     row_convention "reference" reproduces the frozen reference tables: cell
     weights doubled in linear size (scales L1 by 4 and L2 by 2) and, in
     Cartesian coordinates, each labeled row solved at twice its label.  A
-    model without ``force_xy`` raises ValueError before any solve.
+    model without ``force_xy`` or an empty ``n_values`` raises ValueError
+    before any solve.
     """
+    _require_rows(n_values, "resolution N")
     if row_convention not in ("plain", "reference"):
         raise ValueError(f"unknown row convention {row_convention!r}")
     grid_cls = grid_type(coords)
@@ -249,8 +261,10 @@ def run_self_convergence(model, n_values, truth_n, half_width=1.0,
 
     The fine reference is brought to each coarse grid by the closest-four
     average, so coarse rows compare against local fine values rather than a
-    fully homogenized block mean.
+    fully homogenized block mean.  An empty ``n_values`` raises ValueError
+    before the fine solve.
     """
+    _require_rows(n_values, "resolution N")
     for n in n_values:
         _restriction_factor(truth_n, n)
 
@@ -271,6 +285,7 @@ def _exact_log_integral(a: float) -> float:
     piece integrates to x*(log x - 1) plus a smooth remainder handled by
     adaptive quadrature.
     """
+    from scipy.integrate import quad
     x = 0.5 * a
     smooth, _ = quad(lambda t: np.log(np.sinc(t / np.pi)) if t else 0.0, 0.0, x, limit=200)
     log_sin = x * (np.log(x) - 1.0) + smooth
@@ -286,6 +301,7 @@ def singular_trapezoid_study(k_values) -> list:
     k = 26 the integrand's 1 - cos rounds to 0: FloatingPointError.
     """
     k_values = list(k_values)
+    _require_rows(k_values, "k")
     if any(k < 2 for k in k_values):
         raise ValueError("k must be at least 2")
     rows = []

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .kernels_cartesian import KernelTables
 from .models import G, DensityField
@@ -27,6 +26,7 @@ SOFTENED_TERMS = ((0, "soft", "values"),)
 
 def complex_gamma(z):
     """Gamma function for complex argument."""
+    from scipy import special
     z = np.asarray(z, dtype=complex)
     if np.any(np.isreal(z) & (z.real <= 0) & (z.real == np.floor(z.real))):
         raise ValueError("gamma pole at a non-positive integer")
@@ -43,6 +43,7 @@ def spectral_transfer_kernel(alpha, m: int = 0):
     K = exp(2 Re(log Gamma(a) - log Gamma(a + 1/2))) / 2; the log form keeps the
     ratio finite where both gammas underflow.
     """
+    from scipy import special
     if m < 0:
         raise ValueError("azimuthal mode m must be non-negative")
     alpha = np.asarray(alpha, dtype=float)

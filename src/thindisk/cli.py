@@ -163,7 +163,10 @@ def _timeit(fn, repeats: int) -> float:
 
 def run_bench(n_values, repeats=3, direct_n=(), half_width=1.0):
     """Timing records for the fast method, the softened method and the
-    literal direct summation (the latter usually on a smaller N list)."""
+    literal direct summation (the latter usually on a smaller N list);
+    ValueError when both lists are empty."""
+    if len(n_values) == 0 and len(direct_n) == 0:
+        raise ValueError("need at least one N or direct N to time")
     model = D2Disk()
     records = []
     for n in n_values:

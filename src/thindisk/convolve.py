@@ -8,14 +8,15 @@ of the package: the padded transform pair, the real-quadrant transform of
 parity-symmetric kernels, the spectral accumulator that the solver and
 fft_convolve share, and the finiteness guard (finite) that polar
 tabulation and every solve run under.  numpy.fft and scipy.fft are looked
-up per call, so code that wraps their functions sees every transform.
+up per call, so code that wraps their functions sees every transform;
+scipy.fft is imported by parity_rfft2, the one function that calls it, so
+importing this module loads numpy alone (the package's import rule).
 ``direct`` variants evaluate the literal quadruple sum and serve as the
 oracle for the fast path (and as the honest O(n^4) method in benchmarks).
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 
 def finite(compute, *names) -> list:
@@ -70,6 +71,7 @@ def parity_rfft2(a: np.ndarray, parity) -> np.ndarray:
     the wrap-layout entries at offset n of an odd axis never reach the
     aperiodic sum and count as zero.  Odd axes go first.
     """
+    import scipy.fft
     odd = tuple(axis for axis, p in enumerate(parity) if p < 0)
     even = tuple(axis for axis, p in enumerate(parity) if p > 0)
     inner = tuple(slice(1, -1) if p < 0 else slice(None) for p in parity)

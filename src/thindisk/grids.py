@@ -58,6 +58,10 @@ class CartesianGrid:
         """(X, Y) center coordinates, shape (n, n), x varying along axis 0."""
         return np.meshgrid(*self.center_axes, indexing="ij")
 
+    def center_radii(self) -> np.ndarray:
+        """Distance of each cell center from the origin, shape (n, n)."""
+        return np.hypot(self.x_centers[:, None], self.y_centers[None, :])
+
 
 @dataclass(frozen=True)
 class PolarGrid:
@@ -111,10 +115,20 @@ class PolarGrid:
         return np.meshgrid(*self.center_axes, indexing="ij")
 
 
+def _check_squares(name: str, extent: float, cell_area: float) -> None:
+    """ValueError naming the extent unless its square and ``cell_area`` are
+    finite normal doubles: the solvers square distances and weight by areas."""
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    if not (tiny <= extent * extent <= huge and tiny <= cell_area <= huge):
+        raise ValueError(f"{name} {extent:g} is out of range: its square or cell area "
+                         "is not a finite normal double")
+
+
 def build_cartesian_grid(half_width: float, n: int) -> CartesianGrid:
     """Build the uniform n x n grid on [-half_width, half_width]^2.
 
-    Raises ValueError for a non-positive or non-finite half_width or n < 2.
+    Raises ValueError for a non-positive or non-finite half_width, one
+    whose square or cell area is not a finite normal double, or n < 2.
     """
     if not 0 < half_width < np.inf:
         raise ValueError(f"half_width must be positive and finite, got {half_width}")
@@ -122,6 +136,7 @@ def build_cartesian_grid(half_width: float, n: int) -> CartesianGrid:
         raise ValueError(f"need at least 2 zones per side, got n={n}")
     m = float(half_width)
     dx = 2.0 * m / n
+    _check_squares("half_width", m, dx * dx)
     edges = -m + dx * np.arange(n + 1)
     # pin the outer edges exactly
     edges[0] = -m
@@ -141,7 +156,9 @@ def build_polar_grid(outer_radius: float, n: int, beta0: float) -> PolarGrid:
 
     The radial shrink factor is ratio = beta0*(1 - dtheta) with
     dtheta = 2*pi/n, which must land in (0, 1); that requires dtheta < 1,
-    i.e. n >= 7.  outer_radius must be positive and finite.
+    i.e. n >= 7.  outer_radius must be positive and finite, and its square
+    and the outermost ring's cell area finite normal doubles; the inner
+    rings' areas may underflow.
     """
     if not 0 < outer_radius < np.inf:
         raise ValueError(f"outer_radius must be positive and finite, got {outer_radius}")
@@ -157,6 +174,7 @@ def build_polar_grid(outer_radius: float, n: int, beta0: float) -> PolarGrid:
             f"n >= 7 is required so that 2*pi/n < 1"
         )
     m = float(outer_radius)
+    _check_squares("outer_radius", m, 0.5 * (1.0 - ratio * ratio) * m * m * dtheta)
     r_edges = ratio ** (n - np.arange(n + 1.0)) * m
     r_centers = 0.5 * (r_edges[:-1] + r_edges[1:])
     theta_edges = dtheta * np.arange(n + 1.0)

@@ -89,13 +89,28 @@ class D2Disk:
         return np.multiply(c, x, out=c) if np.ndim(c) else c * x, gy
 
     def radial_force(self, r) -> np.ndarray:
-        """In-plane radial force (attractive, so negative for 0 < R)."""
+        """In-plane radial force (attractive, so negative for 0 < R).
+
+        The outer closed form, -3*pi*s0*G/(8*a^3) * (r*(4*a^2 - 3*r^2)*arcsin(a/r)
+        - a*(2*a^2 - 3*r^2)*sqrt(1 - a^2/r^2)), runs in place, one operation
+        at a time in the order of that expression."""
         a, s0 = self.alpha, self.sigma0
+
+        def outer(ro):
+            r2 = np.square(ro)
+            out, tmp = np.multiply(3, r2), np.divide(a, ro)
+            np.subtract(4 * a**2, out, out=out)
+            out *= ro
+            out *= np.arcsin(tmp, out=tmp)
+            np.subtract(2 * a**2, np.multiply(3, r2, out=tmp), out=tmp)
+            tmp *= a
+            tmp *= np.sqrt(np.subtract(1.0, np.divide(a**2, r2, out=r2), out=r2), out=r2)
+            out -= tmp
+            out *= -3 * np.pi * s0 * G / (8 * a**3)
+            return out
         return self._piecewise(
             r, lambda ri: -3 * np.pi**2 * s0 * G * ri * (4 * a**2 - 3 * ri**2) / (16 * a**3),
-            lambda ro: -3 * np.pi * s0 * G / (8 * a**3) * (
-                ro * (4 * a**2 - 3 * ro**2) * np.arcsin(a / ro)
-                - a * (2 * a**2 - 3 * ro**2) * np.sqrt(1.0 - a**2 / ro**2)))
+            outer)
 
     def potential(self, r) -> np.ndarray:
         """Midplane potential; tends to -mass/R far away and to a negative
@@ -109,23 +124,30 @@ class D2Disk:
                 + 3 * a * (2 * a**2 - ro**2) * np.sqrt(ro**2 - a**2)))
 
     def _piecewise(self, r, inner, outer) -> np.ndarray:
-        """``inner`` of the radii r <= alpha and ``outer`` of those beyond;
-        a negative radius raises ValueError."""
+        """``outer`` of every radius, a new array, then ``inner`` of the
+        radii r <= alpha written over it: no gather of the many points a
+        small disk leaves outside.  A negative radius raises ValueError."""
         r = np.atleast_1d(_as_array(r))
         if np.any(r < 0):
             raise ValueError("radius must be non-negative")
-        out = np.empty_like(r)
+        with np.errstate(divide="ignore", invalid="ignore"):    # r <= alpha, overwritten
+            out = outer(r)
         within = r <= self.alpha
         out[within] = inner(r[within])
-        out[~within] = outer(r[~within])
         return out
 
     def force_xy(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """(Fx, Fy) = F_R/R * (x, y), with F_R/R read as 0 where R is 0 or
+        NaN; R is floored at 1e-300, and the quotient formed in place."""
         x = _as_array(x)
         y = _as_array(y)
-        r = np.hypot(x, y)
-        fr_over_r = np.where(r > 0, self.radial_force(np.maximum(r, 1e-300)) / np.maximum(r, 1e-300), 0.0)
-        return fr_over_r * x, fr_over_r * y
+        r = np.atleast_1d(np.hypot(x, y))
+        zero = ~(r > 0)
+        np.maximum(r, 1e-300, out=r)
+        fr_over_r = self.radial_force(r)
+        fr_over_r /= r
+        fr_over_r[zero] = 0.0
+        return np.multiply(fr_over_r, x, out=r), np.multiply(fr_over_r, y, out=fr_over_r)
 
 
 @dataclass(frozen=True)

@@ -55,14 +55,15 @@ class ForceField:
     def coords(self) -> str:
         return self.grid.coords
 
-    def radial(self) -> np.ndarray:
+    def radial(self, R=None) -> np.ndarray:
         """Radial projection (x*Fx + y*Fy)/R on Cartesian grids, 0 at R = 0
-        (the center cell of an odd grid); comp_u on polar grids."""
+        (the center cell of an odd grid); comp_u on polar grids.  ``R``,
+        the grid's ``center_radii()``, is formed here unless given."""
         if self.coords == "polar":
             return self.comp_u
         x, y = self.grid.x_centers[:, None], self.grid.y_centers[None, :]
-        R = np.hypot(x, y)
-        return np.divide(x * self.comp_u + y * self.comp_v, R, out=R, where=R > 0)
+        R = self.grid.center_radii() if R is None else R
+        return np.divide(x * self.comp_u + y * self.comp_v, R, out=np.zeros_like(R), where=R > 0)
 
 
 FORCE_COMPONENTS = ("force component comp_u", "force component comp_v")

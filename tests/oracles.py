@@ -8,6 +8,8 @@ stay deliberately independent of the antiderivative code they check.
 import numpy as np
 from scipy.integrate import quad
 
+from thindisk.models import G
+
 
 def d2_density(disk, x, y):
     """D2Disk density, its closed form evaluated at every point."""
@@ -25,10 +27,45 @@ def d2_density_gradient(disk, x, y):
     return c * x, c * y
 
 
+def d2_radial_force(disk, r):
+    """D2Disk radial force: each closed form on the radii it covers alone."""
+    a, s0 = disk.alpha, disk.sigma0
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r)
+    ri, ro = r[r <= a], r[~(r <= a)]
+    out[r <= a] = -3 * np.pi**2 * s0 * G * ri * (4 * a**2 - 3 * ri**2) / (16 * a**3)
+    out[~(r <= a)] = -3 * np.pi * s0 * G / (8 * a**3) * (
+        ro * (4 * a**2 - 3 * ro**2) * np.arcsin(a / ro)
+        - a * (2 * a**2 - 3 * ro**2) * np.sqrt(1.0 - a**2 / ro**2))
+    return out
+
+
+def d2_potential(disk, r):
+    """D2Disk midplane potential: each closed form on the radii it covers alone."""
+    a, s0 = disk.alpha, disk.sigma0
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r)
+    ri, ro = r[r <= a], r[~(r <= a)]
+    out[r <= a] = -3 * np.pi**2 * s0 * G / (64 * a**3) * (8 * a**4 - 8 * a**2 * ri**2 + 3 * ri**4)
+    out[~(r <= a)] = -3 * np.pi * s0 * G / (32 * a**3) * (
+        (8 * a**4 - 8 * a**2 * ro**2 + 3 * ro**4) * np.arcsin(a / ro)
+        + 3 * a * (2 * a**2 - ro**2) * np.sqrt(ro**2 - a**2))
+    return out
+
+
+def d2_force_xy(disk, x, y):
+    """D2Disk force (Fx, Fy), F_R/R times (x, y) and 0 where R is 0 or NaN."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = np.hypot(x, y)
+    fr_over_r = np.where(r > 0, d2_radial_force(disk, np.maximum(r, 1e-300)) / np.maximum(r, 1e-300), 0.0)
+    return fr_over_r * x, fr_over_r * y
+
+
 def d2_pair(form, pair, x, y):
-    """``form`` (d2_density or d2_density_gradient) of a D2PairDisk, whose
-    alpha and sigma0 its two disks share: the running sum from 0.0 over the
-    disks at (+offset, 0) and (-offset, 0)."""
+    """``form`` (d2_density, d2_density_gradient or d2_force_xy) of a
+    D2PairDisk, whose alpha and sigma0 its two disks share: the running sum
+    from 0.0 over the disks at (+offset, 0) and (-offset, 0)."""
     total = 0.0
     for dx0 in (pair.offset, -pair.offset):
         total = total + np.asarray(form(pair, np.asarray(x, dtype=float) - dx0, y))

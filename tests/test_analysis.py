@@ -158,6 +158,17 @@ class TestRestriction:
         assert capsys.readouterr().err == f"error: {want.value}\n"
 
 
+    @pytest.mark.parametrize("study", ["plain", "self"])
+    def test_empty_sweep_rejected_before_solving(self, monkeypatch, study):
+        from thindisk import D2Disk, LogSpiralDisk, analysis
+        monkeypatch.setattr(analysis, "solve_field",
+                            lambda *a, **k: pytest.fail("solved before the check"))
+        with pytest.raises(ValueError, match="^need at least one resolution N$"):
+            if study == "self":
+                analysis.run_self_convergence(LogSpiralDisk(), [], 64)
+            else:
+                run_convergence(D2Disk(), [])
+
     @pytest.mark.parametrize("coords", ["cartesian", "polar"])
     def test_convergence_without_analytic_force_rejected_before_solving(self, monkeypatch,
                                                                         coords):
@@ -240,6 +251,8 @@ class TestSingularStudy:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             singular_trapezoid_study([1, 2])
+        with pytest.raises(ValueError, match="^need at least one k$"):
+            singular_trapezoid_study(range(3, 3))
 
     def test_beyond_k26_raises(self):
         # 1 - cos(2**-k) rounds to 0 from k = 27 on; k = 26 is the last finite row

@@ -307,6 +307,36 @@ class TestBadInput:
          "error: half_width must be positive and finite, got inf"),
         (["solve", "--coords", "polar", "--M", "inf"], None, 1,
          "error: outer_radius must be positive and finite, got inf"),
+        # an extent whose square or cell area leaves the normal doubles is refused
+        (["solve", "--N", "16", "--M", "1e160"], None, 1,
+         "error: half_width 1e+160 is out of range: its square or cell area is not a finite "
+         "normal double"),
+        (["solve", "--N", "16", "--M", "2e154"], None, 1,
+         "error: half_width 2e+154 is out of range: its square or cell area is not a finite "
+         "normal double"),
+        (["solve", "--N", "16", "--M", "1e308"], None, 1,
+         "error: half_width 1e+308 is out of range: its square or cell area is not a finite "
+         "normal double"),
+        (["solve", "--N", "16", "--M", "1e-300"], None, 1,
+         "error: half_width 1e-300 is out of range: its square or cell area is not a finite "
+         "normal double"),
+        (["solve", "--N", "16", "--M", "1e160", "--coords", "polar"], None, 1,
+         "error: outer_radius 1e+160 is out of range: its square or cell area is not a finite "
+         "normal double"),
+        (["solve", "--N", "16", "--M", "1e-300", "--coords", "polar"], None, 1,
+         "error: outer_radius 1e-300 is out of range: its square or cell area is not a finite "
+         "normal double"),
+        (["kernels", "--N", "16", "--M", "2e154"], None, 1,
+         "error: half_width 2e+154 is out of range: its square or cell area is not a finite "
+         "normal double"),
+        # an empty sweep is refused before anything is solved
+        (["converge", "--N", ","], None, 1, "error: need at least one resolution N"),
+        (["converge", "--N", ",", "--truth-N", "64", "--model", "log-spiral"], None, 1,
+         "error: need at least one resolution N"),
+        (["bench", "--N", ",", "--direct-N", ",", "--repeats", "3"], None, 1,
+         "error: need at least one N or direct N to time"),
+        (["singular-study", "--k-min", "3", "--k-max", "2"], None, 1,
+         "error: need at least one k"),
         # the log-spectral baseline refuses non-finite radii and truncations
         (["kalnajs", "--r-max", "nan"], None, 1, "error: query radii must be positive and finite"),
         (["kalnajs", "--r-min", "nan"], None, 1, "error: query radii must be positive and finite"),

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -157,3 +158,22 @@ class TestGeometryFacts:
 def test_extent_must_be_finite(coords, name, m):
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {m}$"):
         build_grid(coords, m, 16, 0.9 if coords == "polar" else None)
+
+
+@pytest.mark.parametrize("coords,name", [("cartesian", "half_width"), ("polar", "outer_radius")])
+@pytest.mark.parametrize("m", [2e154, 1e160, 1e308, 1e-155, 1e-300])
+def test_extent_square_must_be_normal(coords, name, m):
+    # the square of the extent overflows or leaves the normal range
+    want = f"{name} {m:g} is out of range: its square or cell area is not a finite normal double"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        build_grid(coords, m, 16, 0.9 if coords == "polar" else None)
+
+
+def test_cell_area_must_be_normal():
+    # the extent's square is normal and the cell area is not
+    build_cartesian_grid(1e-150, 2)
+    with pytest.raises(ValueError, match="^half_width 1e-150 is out of range"):
+        build_cartesian_grid(1e-150, 10**6)
+    # only the outermost ring's area counts: the inner rings may underflow
+    grid = build_polar_grid(1e-100, 512, 0.5)
+    assert grid.cell_areas()[0] == 0.0

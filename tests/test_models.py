@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import d2_density, d2_density_gradient, d2_pair
+from oracles import (d2_density, d2_density_gradient, d2_force_xy, d2_pair, d2_potential,
+                     d2_radial_force)
 from thindisk import (CallableModel, D2Disk, D2PairDisk, LogSpiralDisk,
                       build_cartesian_grid, build_polar_grid, eval_density,
                       sample_density)
@@ -165,6 +166,54 @@ class TestD2SupportSampling:
             for got, want in zip(pair.density_gradient(x, y),
                                  d2_pair(d2_density_gradient, pair, x, y)):
                 _assert_same(got, want)
+
+
+class TestD2Force:
+    """D2Disk's force and potential evaluate the outer closed form at every
+    radius, the force in place; every value, sign bit and NaN must match the
+    two closed forms evaluated on the radii each covers."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(d2_points())
+    def test_matches_reference_forms(self, case):
+        alpha, sigma0, offset, x, y = case
+        disk, pair = D2Disk(alpha, sigma0), D2PairDisk(alpha, sigma0, offset)
+        with np.errstate(all="ignore"):         # inf and NaN points
+            for got, want in zip(disk.force_xy(x, y), d2_force_xy(disk, x, y)):
+                _assert_same(got, want)
+            for got, want in zip(pair.force_xy(x, y), d2_pair(d2_force_xy, pair, x, y)):
+                _assert_same(got, want)
+            r = np.abs(np.ravel(x))
+            _assert_same(disk.radial_force(r), d2_radial_force(disk, r))
+            _assert_same(disk.potential(r), d2_potential(disk, r))
+
+    @pytest.mark.parametrize("n", [33, 512, 1024])
+    @pytest.mark.parametrize("model", [D2Disk(), D2PairDisk(), D2Disk(alpha=0.8)])
+    def test_grid_force_matches_reference_forms(self, n, model):
+        X, Y = build_cartesian_grid(1.0, n).center_mesh()
+        want = (d2_force_xy(model, X, Y) if isinstance(model, D2Disk)
+                else d2_pair(d2_force_xy, model, X, Y))
+        for got, w in zip(model.force_xy(X, Y), want):
+            _assert_same(got, w)
+
+    def test_scalar_points(self):
+        for x, y in [(0.0, 0.0), (0.1, -0.2), (0.5, 0.0), (np.nan, 0.0)]:
+            for got, want in zip(D2Disk().force_xy(x, y), d2_force_xy(D2Disk(), x, y)):
+                assert got.shape == (1,)
+                _assert_same(got, want)
+
+    def test_peak_memory(self):
+        # the traced peak of one N=512 analytic force was 20.0 MiB when both
+        # closed forms ran on gathered radii with a dozen full-size temporaries
+        grid = build_cartesian_grid(1.0, 512)
+        _analytic_force(D2Disk(), grid)
+        tracemalloc.start()
+        try:
+            _analytic_force(D2Disk(), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13.5 * 2**20
 
 
 class TestLogSpiral:

@@ -424,6 +424,10 @@ class TestForceField:
         want = (X * force.comp_u + Y * force.comp_v) / np.where(X**2 + Y**2 > 0, np.hypot(X, Y), 1)
         want[16, 16] = 0.0
         np.testing.assert_array_equal(force.radial(), want)
+        # the radii error_norms forms once for both fields; they are only read
+        R = grid.center_radii()
+        np.testing.assert_array_equal(force.radial(R), want)
+        np.testing.assert_array_equal(R, np.hypot(X, Y))
 
     @pytest.mark.parametrize("coords", ["cartesian", "polar"])
     @pytest.mark.parametrize("shape", [(8, 9), (9, 8), (8,), (8, 8, 1), ()])
