@@ -109,18 +109,32 @@ def cmd_solve(args) -> int:
             tables = tabulate_kernels(field.grid)
             gridio.save_kernel_tables(args.kernel_cache, tables)
     force = solve_field(field, args.method, tables, args.epsilon)
+    lines = _norm_lines(model, force)    # before the file: a failed norm writes none
 
     out = args.out or "force.txt"
     # library forces are attractive; a repulsive file holds their exact negation
     gridio.write_force(out, force if args.sign == "attractive" else
                        replace(force, comp_u=-force.comp_u, comp_v=-force.comp_v))
     print(f"wrote {out}")
-
-    if model is not None and hasattr(model, "force_xy"):
-        exact = analysis._analytic_force(model, field.grid)
-        for comp, (e1, e2, ei) in analysis.error_norms(force, exact).items():
-            print(f"F_{comp}: L1={e1:.4e}  L2={e2:.4e}  Linf={ei:.4e}")
+    for line in lines:
+        print(line)
     return 0
+
+
+def _norm_lines(model, force) -> list:
+    """The solve's error norms against the model's analytic force, one line
+    per component (none without an analytic force); FloatingPointError when
+    a norm is not finite."""
+    if model is None or not hasattr(model, "force_xy"):
+        return []
+    with np.errstate(all="ignore"):    # an overflow shows in the norms, checked below
+        norms = analysis.error_norms(force, analysis._analytic_force(model, force.grid))
+    lines = [f"F_{comp}: L1={e1:.4e}  L2={e2:.4e}  Linf={ei:.4e}"
+             for comp, (e1, e2, ei) in norms.items()]
+    for line, values in zip(lines, norms.values()):
+        if not np.isfinite(values).all():
+            raise FloatingPointError(f"the error norms are not finite ({line})")
+    return lines
 
 
 def cmd_converge(args) -> int:

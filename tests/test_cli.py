@@ -329,6 +329,14 @@ class TestBadInput:
         (["kernels", "--N", "16", "--M", "2e154"], None, 1,
          "error: half_width 2e+154 is out of range: its square or cell area is not a finite "
          "normal double"),
+        # extents just inside that range: the analytic force overflows, so the
+        # norms are not finite and no force file is written
+        (["solve", "--N", "16", "--M", "9e153"], None, 3,
+         "numerical failure: the error norms are not finite (F_x: L1=nan  L2=nan  Linf=nan)"),
+        (["solve", "--N", "16", "--M", "1e153"], None, 3,
+         "numerical failure: the error norms are not finite (F_x: L1=inf  L2=inf  Linf=inf)"),
+        (["solve", "--N", "16", "--M", "1e150"], None, 3,
+         "numerical failure: the error norms are not finite (F_x: L1=inf  L2=inf  Linf=inf)"),
         # an empty sweep is refused before anything is solved
         (["converge", "--N", ","], None, 1, "error: need at least one resolution N"),
         (["converge", "--N", ",", "--truth-N", "64", "--model", "log-spiral"], None, 1,

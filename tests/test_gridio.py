@@ -1,11 +1,14 @@
 import io
 import re
+import tracemalloc
 import zipfile
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from thindisk import (D2Disk, build_cartesian_grid, build_polar_grid,
+from thindisk import (D2Disk, build_cartesian_grid, build_polar_grid, gridio,
                       sample_density, tabulate_cartesian_kernels,
                       tabulate_polar_kernels)
 from thindisk.gridio import (FileFormatError, load_kernel_tables, read_density,
@@ -244,6 +247,94 @@ class TestForceFiles:
         write_force(p, ForceField(grid, np.ones((4, 4)), comp_v))
         with pytest.raises(FileFormatError, match="row 3 of second component"):
             read_force(p)
+
+
+def _per_value(a):
+    """Block ``a`` as formatting each value on its own with .17g prints it."""
+    return "".join(",".join(f"{v:.17g}" for v in a[:, j]) + "\n" for j in range(a.shape[1]))
+
+
+def _halves():
+    """Doubles whose exact decimal value has 18 significant digits, the last a
+    5: ties at 17 digits.  m * 2**(k - 17) for an odd m with 10**k <= the value
+    < 10**(k+1) is one when m < 2**53."""
+    vals = []
+    for k in range(-7, 15):
+        lo, hi = 10.0 ** k * 2.0 ** (17 - k), 10.0 ** (k + 1) * 2.0 ** (17 - k)
+        vals += [m * 2.0 ** (k - 17) for m in (np.ceil(lo) // 2 * 2 + 1, hi // 2 * 2 - 1)]
+    return vals
+
+
+def _edge_values():
+    """Values at every branch of .17g, with both signs, 16 to a row: zeros,
+    subnormals, both neighbours of every power of ten (the %g switch points
+    1e-5, 1e-4, 1e16 and 1e17 among them), inf, nan and exact halves."""
+    tiny = np.finfo(np.float64).smallest_normal
+    vals = [0.0, 5e-324, 1e-323, 1.5e-310, np.nextafter(tiny, 0), tiny, np.inf, np.nan]
+    for j in range(-323, 309):
+        p = float(f"1e{j}")
+        vals += [np.nextafter(p, 0), p, np.nextafter(p, np.inf)]
+    vals = np.array(vals + _halves())
+    vals = np.concatenate([vals, -vals])
+    return np.concatenate([vals, np.ones(-vals.size % 16)]).reshape(-1, 16).T
+
+
+class TestBlockWriter:
+    """The block writer prints every float64 exactly as "%.17g" does."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(2, 9).flatmap(
+        lambda n: st.lists(st.integers(0, 2 ** 64 - 1), min_size=2 * n * n, max_size=2 * n * n)))
+    def test_raw_bit_patterns(self, tmp_path_factory, bits):
+        n = int(round((len(bits) / 2) ** 0.5))
+        a, b = np.array(bits, dtype=np.uint64).view(np.float64).reshape(2, n, n)
+        path = tmp_path_factory.getbasetemp() / "bit_patterns.txt"
+        write_force(path, ForceField(build_cartesian_grid(1.0, n), a, b))
+        assert path.read_bytes() == \
+            (f"thindisk v1\ncart {n} 1\n" + _per_value(a) + _per_value(b)).encode()
+
+    def test_edge_table(self):
+        for v in _halves():
+            digits = Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        edges = _edge_values()
+        assert "".join(gridio._block_chunks(edges)) == _per_value(edges)
+
+    def test_every_value_through_the_fallback(self, monkeypatch):
+        # without the long-double tables (a platform whose long double is a
+        # double) every value goes through Python's own %-format
+        monkeypatch.setattr(gridio, "_digit_tables", lambda: None)
+        rng = np.random.default_rng(3)
+        random = rng.standard_normal((40, 40)) * 10.0 ** rng.integers(-30, 30, (40, 40))
+        for block in (_edge_values(), random):
+            assert "".join(gridio._block_chunks(block)) == _per_value(block)
+
+    def test_most_values_take_the_vectorised_path(self):
+        if np.finfo(np.longdouble).precision <= np.finfo(np.float64).precision:
+            pytest.skip("np.longdouble is a double here: every value falls back")
+        tables = gridio._digit_tables()
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(8192) * 10.0 ** rng.integers(-20, 20, 8192)
+        row_end = np.zeros(x.size, np.intp)
+        slow = gridio._format_fast(x, row_end, np.empty((x.size, 6), np.uint64), tables)
+        assert slow.size < 0.05 * x.size
+
+    def test_blocks_are_streamed(self, tmp_path):
+        # a writer that held a whole block's text would peak above half the file
+        n = 512
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, n, n))
+        path = tmp_path / "f.txt"
+        force = ForceField(build_cartesian_grid(1.0, n), a, b)
+        tracemalloc.start()
+        try:
+            write_force(path, force)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+        back = read_force(path)
+        assert np.array_equal(back.comp_u, a) and np.array_equal(back.comp_v, b)
 
 
 def _drop_from_cache(path, key, replace=None):

@@ -71,7 +71,9 @@ def test_fingerprint_is_reproducible(capsys):
                  "polar n=33 beta0=0.99 d2_2 analytic solve_polar_direct error_norms theta",
                  "cartesian n=16 log_spiral central-difference solve_softened_cartesian direct comp_v",
                  "polar n=16 beta0=0.7 d2 analytic polar_potential",
-                 "polar n=33 beta0=0.99 log_spiral central-difference direct potential"):
+                 "polar n=33 beta0=0.99 log_spiral central-difference direct potential",
+                 "cartesian n=33 d2 analytic write_density",
+                 "polar n=16 beta0=0.7 d2_2 central-difference solve_polar write_force"):
         assert name in names
     assert all(len(line.split("  ", 1)[0]) == 64 for line in first)
 

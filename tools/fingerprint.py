@@ -10,7 +10,9 @@ ring and hole tables and spectra of all nine kinds at beta0 = 0.99 and 0.7.
 The other cases run at N = 16 and 33: pointwise kernel evaluation,
 ``sample_density`` planes, every ``solve_*`` and its direct twin,
 ``polar_potential`` and its direct-summation oracle, the softened solve
-and ``error_norms``.  A line hashes the value's type, dtype, shape and
+and ``error_norms``, and the bytes that ``write_density`` and
+``write_force`` put in a file for each sampled field and each solve (the
+field-file contract).  A line hashes the value's type, dtype, shape and
 bytes, so sign bits count; a case that raises prints its exception
 instead.
 """
@@ -18,11 +20,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
+import tempfile
 
 import numpy as np
 
-from thindisk import analysis, baselines, grids, kernels_cartesian, kernels_polar, models, solver
+from thindisk import (analysis, baselines, gridio, grids, kernels_cartesian, kernels_polar,
+                      models, solver)
 
 SOLVE_N = (16, 33)
 BETA0 = (0.99, 0.7)
@@ -36,6 +41,15 @@ def digest(value) -> str:
     h = hashlib.sha256(f"{type(value).__name__} {a.dtype.str} {a.shape}".encode())
     h.update(a.tobytes())
     return h.hexdigest()
+
+
+def _file_bytes(write, value) -> np.ndarray:
+    """The bytes that ``write(path, value)`` puts in a file, as uint8."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.txt")
+        write(path, value)
+        with open(path, "rb") as fh:
+            return np.frombuffer(fh.read(), np.uint8)
 
 
 def _cartesian_tables(n):
@@ -82,6 +96,7 @@ def _solves(grid):
             case = f"{model.kind} {slopes}"
             for name, plane in field.planes().items():
                 yield f"{case} sample {name}", plane
+            yield f"{case} write_density", _file_bytes(gridio.write_density, field)
             if polar:
                 yield f"{case} polar_potential", solver.polar_potential(field, tables)
                 yield f"{case} direct potential", \
@@ -97,6 +112,7 @@ def _solves(grid):
             for name, force in forces.items():
                 yield f"{case} {name} comp_u", force.comp_u
                 yield f"{case} {name} comp_v", force.comp_v
+                yield f"{case} {name} write_force", _file_bytes(gridio.write_force, force)
                 if exact is not None:
                     for comp, norms in analysis.error_norms(force, exact).items():
                         yield f"{case} {name} error_norms {comp}", np.array(norms)
