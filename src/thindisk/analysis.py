@@ -211,6 +211,25 @@ def _analytic_force(model, grid) -> ForceField:
     return ForceField(grid, *to_polar(*model.force_xy(X[1:], Y[1:]), cos, sin))
 
 
+def norm_line(component: str, norms) -> str:
+    """One component's (L1, L2, Linf) as ``thindisk solve`` prints it."""
+    e1, e2, ei = norms
+    return f"F_{component}: L1={e1:.4e}  L2={e2:.4e}  Linf={ei:.4e}"
+
+
+def analytic_error_norms(numeric: ForceField, model) -> dict:
+    """``error_norms`` of ``numeric`` against the model's analytic force on
+    its grid.  A force past the double range shows only in the norms, so
+    the overflow warnings are silenced and FloatingPointError names the
+    first component whose norms are not finite."""
+    with np.errstate(all="ignore"):
+        norms = error_norms(numeric, _analytic_force(model, numeric.grid))
+    for comp, values in norms.items():
+        if not np.isfinite(values).all():
+            raise FloatingPointError(f"the error norms are not finite ({norm_line(comp, values)})")
+    return norms
+
+
 def _report(method, model, grid_cls, n_values, rows, metadata, scale=(1.0, 1.0, 1.0)):
     """A ConvergenceReport of one ``error_norms`` result per row on grids of
     class ``grid_cls``, each norm times its ``scale`` entry."""
@@ -231,7 +250,8 @@ def run_convergence(model, n_values, coords="cartesian", method="proposed",
     weights doubled in linear size (scales L1 by 4 and L2 by 2) and, in
     Cartesian coordinates, each labeled row solved at twice its label.  A
     model without ``force_xy`` or an empty ``n_values`` raises ValueError
-    before any solve.
+    before any solve; a row whose norms are not finite raises
+    FloatingPointError (see ``analytic_error_norms``).
     """
     _require_rows(n_values, "resolution N")
     if row_convention not in ("plain", "reference"):
@@ -248,7 +268,7 @@ def run_convergence(model, n_values, coords="cartesian", method="proposed",
     for n in n_values:
         grid = build_grid(coords, half_width, factor * n, beta0)
         num = solve_field(sample_density(model, grid, slopes=slope_mode), method)
-        rows.append(error_norms(num, _analytic_force(model, grid), grid))
+        rows.append(analytic_error_norms(num, model))
     return _report(method, model, grid_cls, n_values, rows,
                    {"half_width": half_width, "beta0": beta0 if coords == "polar" else "",
                     "slope_mode": slope_mode, "row_convention": row_convention},

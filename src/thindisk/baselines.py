@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .grids import check_range
 from .kernels_cartesian import KernelTables
 from .models import G, DensityField
 from .solver import FORCE_COMPONENTS, ForceField, assemble, finite
@@ -63,13 +64,17 @@ kalnajs_gamma_kernel = spectral_transfer_kernel
 
 @dataclass(frozen=True)
 class SofteningConfig:
-    """Softening length for the lumped-mass potential kernel."""
+    """Softening length for the lumped-mass potential kernel: positive, with
+    a square that is a finite normal double (the kernel adds it to squared
+    offsets and takes the reciprocal square root)."""
 
     epsilon: float
 
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        e = float(self.epsilon)    # a Python product, unlike **, overflows quietly
+        check_range("epsilon", self.epsilon, "its square", e * e)
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,13 @@ def solve_softened_cartesian(field: DensityField, cfg: SofteningConfig | None = 
     fx, fy = finite(lambda: np.gradient(-softened_potential(field, cfg, method=method), grid.dx,
                                         edge_order=2), *FORCE_COMPONENTS)
     return ForceField(grid, fx, fy)
+
+
+def query_radii(r_min: float, r_max: float, points: int) -> np.ndarray:
+    """``points`` radii evenly spaced over [r_min, r_max]; a non-finite end
+    gives nan radii, which ``kalnajs_potential_axisym`` refuses."""
+    with np.errstate(invalid="ignore"):
+        return np.linspace(r_min, r_max, points)
 
 
 def kalnajs_potential_axisym(sigma_of_r, radii, cfg: KalnajsConfig | None = None) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, gridio
 from .analysis import csv_text, kernel_family, solve_field, tabulate_kernels
-from .baselines import KalnajsConfig, kalnajs_potential_axisym
+from .baselines import KalnajsConfig, kalnajs_potential_axisym, query_radii
 from .grids import build_cartesian_grid, build_grid
 from .kernels_polar import SingularEvaluationError
 from .models import D2Disk, D2PairDisk, LogSpiralDisk, sample_density
@@ -109,32 +109,17 @@ def cmd_solve(args) -> int:
             tables = tabulate_kernels(field.grid)
             gridio.save_kernel_tables(args.kernel_cache, tables)
     force = solve_field(field, args.method, tables, args.epsilon)
-    lines = _norm_lines(model, force)    # before the file: a failed norm writes none
+    # the norms come before the file: a failed norm writes none
+    norms = analysis.analytic_error_norms(force, model) if hasattr(model, "force_xy") else {}
 
     out = args.out or "force.txt"
     # library forces are attractive; a repulsive file holds their exact negation
     gridio.write_force(out, force if args.sign == "attractive" else
                        replace(force, comp_u=-force.comp_u, comp_v=-force.comp_v))
     print(f"wrote {out}")
-    for line in lines:
-        print(line)
+    for comp, values in norms.items():
+        print(analysis.norm_line(comp, values))
     return 0
-
-
-def _norm_lines(model, force) -> list:
-    """The solve's error norms against the model's analytic force, one line
-    per component (none without an analytic force); FloatingPointError when
-    a norm is not finite."""
-    if model is None or not hasattr(model, "force_xy"):
-        return []
-    with np.errstate(all="ignore"):    # an overflow shows in the norms, checked below
-        norms = analysis.error_norms(force, analysis._analytic_force(model, force.grid))
-    lines = [f"F_{comp}: L1={e1:.4e}  L2={e2:.4e}  Linf={ei:.4e}"
-             for comp, (e1, e2, ei) in norms.items()]
-    for line, values in zip(lines, norms.values()):
-        if not np.isfinite(values).all():
-            raise FloatingPointError(f"the error norms are not finite ({line})")
-    return lines
 
 
 def cmd_converge(args) -> int:
@@ -229,12 +214,7 @@ def cmd_bench(args) -> int:
 
 def cmd_kernels(args) -> int:
     grid = build_grid(args.coords, args.M, args.N, args.beta0)
-    tables = tabulate_kernels(grid)
-    gridio.save_kernel_tables(args.out, tables)
-    saved = gridio.cache_arrays(tables)
-    for key, arr in gridio.cache_arrays(gridio.load_kernel_tables(args.out, grid)).items():
-        if not np.array_equal(arr, saved[key]):
-            raise gridio.FileFormatError(f"kernel cache round trip failed for {key}")
+    gridio.save_kernel_tables(args.out, tabulate_kernels(grid))
     print(f"wrote {args.out} ({len(kernel_family(grid)[2])} kernel kinds, n={grid.n})")
     return 0
 
@@ -251,8 +231,7 @@ def cmd_kalnajs(args) -> int:
         raise UsageError("the log-spectral solver needs an axisymmetric model (d2)")
     cfg = KalnajsConfig(u_min=args.u_min, alpha_max=args.alpha_max,
                         n_alpha=args.n_alpha, n_u=args.N)
-    with np.errstate(invalid="ignore"):     # a non-finite end gives nan radii, refused below
-        radii = np.linspace(args.r_min, args.r_max, args.points)
+    radii = query_radii(args.r_min, args.r_max, args.points)
     phi = kalnajs_potential_axisym(lambda r: model.density(r, np.zeros_like(r)), radii, cfg)
     _write_text(args.out, csv_text(["r", "phi"], zip(radii, phi)))
     return 0

@@ -357,10 +357,16 @@ def cache_arrays(tables) -> dict:
 def save_kernel_tables(path, tables) -> None:
     """Uncompressed binary dump of a kernel-table set for reuse across runs,
     keyed by the grid line of the field files, written to exactly ``path``
-    (np.savez given a name would append ``.npz``)."""
+    (np.savez given a name would append ``.npz``).  The file is then read
+    back: FileFormatError names the first array that does not load equal
+    to the tables it was written from."""
+    saved = cache_arrays(tables)
     with open(path, "wb") as fh:
         np.savez(fh, version=np.array(_CACHE_VERSION), grid=np.array(_grid_header(tables.grid)),
-                 **cache_arrays(tables))
+                 **saved)
+    for key, arr in cache_arrays(load_kernel_tables(path, tables.grid)).items():
+        if not np.array_equal(arr, saved[key]):
+            raise FileFormatError(f"kernel cache round trip failed for {key}")
 
 
 def load_kernel_tables(path, grid):

@@ -115,13 +115,14 @@ class PolarGrid:
         return np.meshgrid(*self.center_axes, indexing="ij")
 
 
-def _check_squares(name: str, extent: float, cell_area: float) -> None:
-    """ValueError naming the extent unless its square and ``cell_area`` are
-    finite normal doubles: the solvers square distances and weight by areas."""
+def check_range(name: str, value: float, what: str, *derived: float) -> None:
+    """ValueError naming ``value`` unless each of ``derived``, the quantities
+    named by ``what`` that the library forms from it, is a finite normal
+    double: the solvers square distances and weight by areas, and the disk
+    models raise their radius to powers."""
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    if not (tiny <= extent * extent <= huge and tiny <= cell_area <= huge):
-        raise ValueError(f"{name} {extent:g} is out of range: its square or cell area "
-                         "is not a finite normal double")
+    if not all(tiny <= d <= huge for d in derived):
+        raise ValueError(f"{name} {value:g} is out of range: {what} is not a finite normal double")
 
 
 def build_cartesian_grid(half_width: float, n: int) -> CartesianGrid:
@@ -136,7 +137,7 @@ def build_cartesian_grid(half_width: float, n: int) -> CartesianGrid:
         raise ValueError(f"need at least 2 zones per side, got n={n}")
     m = float(half_width)
     dx = 2.0 * m / n
-    _check_squares("half_width", m, dx * dx)
+    check_range("half_width", m, "its square or cell area", m * m, dx * dx)
     edges = -m + dx * np.arange(n + 1)
     # pin the outer edges exactly
     edges[0] = -m
@@ -174,7 +175,8 @@ def build_polar_grid(outer_radius: float, n: int, beta0: float) -> PolarGrid:
             f"n >= 7 is required so that 2*pi/n < 1"
         )
     m = float(outer_radius)
-    _check_squares("outer_radius", m, 0.5 * (1.0 - ratio * ratio) * m * m * dtheta)
+    check_range("outer_radius", m, "its square or cell area", m * m,
+                0.5 * (1.0 - ratio * ratio) * m * m * dtheta)
     r_edges = ratio ** (n - np.arange(n + 1.0)) * m
     r_centers = 0.5 * (r_edges[:-1] + r_edges[1:])
     theta_edges = dtheta * np.arange(n + 1.0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import CartesianGrid, PolarGrid
+from .grids import CartesianGrid, PolarGrid, check_range
 
 G = 1.0
 
@@ -24,6 +24,10 @@ def _as_array(x) -> np.ndarray:
 @dataclass(frozen=True)
 class D2Disk:
     """Finite disk with density sigma0*(1 - R^2/alpha^2)^(3/2) inside R < alpha.
+
+    alpha must be positive, with a fourth power that is a finite normal
+    double (about 1.22e-77 to 1.16e77): the closed forms raise it to powers
+    up to the fourth.  sigma0 must be positive and finite.
 
     Density, potential on the midplane and radial force all have closed
     forms; the potential/force pair is continuous (and once differentiable
@@ -40,6 +44,8 @@ class D2Disk:
     def __post_init__(self):
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        a = float(self.alpha)    # Python products, unlike ** or numpy's, overflow quietly
+        check_range("alpha", self.alpha, "its fourth power", (a * a) * (a * a))
         if not 0 < self.sigma0 < np.inf:
             raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
 

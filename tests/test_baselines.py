@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
@@ -179,6 +181,13 @@ class TestSoftening:
     def test_bad_epsilon(self):
         for eps in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match=f"^epsilon must be positive and finite, got {eps}$"):
+                SofteningConfig(eps)
+        # its square must be a finite normal double: about 1.5e-154 to 1.3e154
+        for eps in (1.5e-154, 1.3e154, np.float64(1.3e154)):
+            SofteningConfig(eps)
+        for eps in (1.4e-154, 1.4e154, 1e-300, np.float64(1e300)):
+            message = f"epsilon {eps:g} is out of range: its square is not a finite normal double"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 SofteningConfig(eps)
 
     def test_polar_rejected(self):

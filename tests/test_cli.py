@@ -265,6 +265,24 @@ class TestBadInput:
          "error: alpha must be positive and finite, got inf"),
         (["kalnajs", "--alpha", "inf"], None, 1,
          "error: alpha must be positive and finite, got inf"),
+        # a disk radius whose fourth power, or a softening length whose
+        # square, leaves the normal doubles is refused by name
+        (["solve", "--N", "16", "--alpha", "1e-160"], None, 1,
+         "error: alpha 1e-160 is out of range: its fourth power is not a finite normal double"),
+        (["solve", "--N", "16", "--alpha", "1e-160", "--model", "d2_2"], None, 1,
+         "error: alpha 1e-160 is out of range: its fourth power is not a finite normal double"),
+        (["converge", "--N", "16,32", "--alpha", "1e-160"], None, 1,
+         "error: alpha 1e-160 is out of range: its fourth power is not a finite normal double"),
+        (["solve", "--N", "16", "--alpha", "1e-200"], None, 1,
+         "error: alpha 1e-200 is out of range: its fourth power is not a finite normal double"),
+        (["solve", "--N", "16", "--alpha", "1e110"], None, 1,
+         "error: alpha 1e+110 is out of range: its fourth power is not a finite normal double"),
+        (["solve", "--N", "16", "--alpha", "1e300"], None, 1,
+         "error: alpha 1e+300 is out of range: its fourth power is not a finite normal double"),
+        (["solve", "--N", "16", "--method", "softening", "--epsilon", "1e-300"], None, 1,
+         "error: epsilon 1e-300 is out of range: its square is not a finite normal double"),
+        (["solve", "--N", "16", "--method", "softening", "--epsilon", "1e-170"], None, 1,
+         "error: epsilon 1e-170 is out of range: its square is not a finite normal double"),
         (["solve", "--method", "softening", "--coords", "polar"], None, 1,
          "error: softened solver runs on Cartesian grids"),
         (["converge", "--model", "log-spiral", "--N", "16,32"], None, 1,
@@ -336,6 +354,13 @@ class TestBadInput:
         (["solve", "--N", "16", "--M", "1e153"], None, 3,
          "numerical failure: the error norms are not finite (F_x: L1=inf  L2=inf  Linf=inf)"),
         (["solve", "--N", "16", "--M", "1e150"], None, 3,
+         "numerical failure: the error norms are not finite (F_x: L1=inf  L2=inf  Linf=inf)"),
+        # converge measures its rows against the same guarded norms: no CSV
+        (["converge", "--N", "16,32", "--M", "9e153"], None, 3,
+         "numerical failure: the error norms are not finite (F_x: L1=nan  L2=nan  Linf=nan)"),
+        (["converge", "--N", "16,32", "--M", "9e153", "--coords", "polar"], None, 3,
+         "numerical failure: the error norms are not finite (F_r: L1=inf  L2=inf  Linf=inf)"),
+        (["converge", "--N", "16,32", "--M", "1e153"], None, 3,
          "numerical failure: the error norms are not finite (F_x: L1=inf  L2=inf  Linf=inf)"),
         # an empty sweep is refused before anything is solved
         (["converge", "--N", ","], None, 1, "error: need at least one resolution N"),
@@ -467,6 +492,29 @@ class TestOtherCommands:
         code = main(["kernels", "--coords", coords, "--N", "8", "--out", str(tmp_path / "k.npz")])
         assert code == 2
         assert capsys.readouterr().err == f"error: kernel cache round trip failed for {key}\n"
+        # a cold solve writes its cache through the same check, before any force file
+        force = tmp_path / "f.txt"
+        code = main(["solve", "--coords", coords, "--N", "8", "--kernel-cache",
+                     str(tmp_path / "cold.npz"), "--out", str(force)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: kernel cache round trip failed for {key}\n"
+        assert captured.out == "" and not force.exists()
+
+    @pytest.mark.parametrize("coords", ["cartesian", "polar"])
+    def test_cold_solve_cache_equals_kernels_cache(self, tmp_path, coords):
+        from thindisk import gridio
+        from thindisk.grids import build_grid
+        assert main(["kernels", "--coords", coords, "--N", "8", "--out",
+                     str(tmp_path / "k.npz")]) == 0
+        assert main(["solve", "--coords", coords, "--N", "8", "--kernel-cache",
+                     str(tmp_path / "cold.npz"), "--out", str(tmp_path / "f.txt")]) == 0
+        grid = build_grid(coords, 1.0, 8, 0.99)
+        made, cold = (gridio.cache_arrays(gridio.load_kernel_tables(tmp_path / name, grid))
+                      for name in ("k.npz", "cold.npz"))
+        assert made.keys() == cold.keys()
+        for key, arr in made.items():
+            np.testing.assert_array_equal(cold[key], arr)
 
     def test_singular_study_beyond_k26_exits_3(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

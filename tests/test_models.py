@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -96,6 +97,17 @@ class TestD2Closed:
             with pytest.raises(ValueError, match=f"^offset must be finite, got {value}$"):
                 D2PairDisk(offset=value)
         D2PairDisk(offset=0.0)
+
+    @pytest.mark.parametrize("model", [D2Disk, D2PairDisk])
+    def test_alpha_range(self, model):
+        # alpha**4 must be a finite normal double: about 1.22e-77 to 1.16e77
+        for alpha in (1.3e-77, 1.15e77, np.float64(1.15e77)):
+            model(alpha=alpha)
+        for alpha in (1.2e-77, 1.17e77, 1e-300, 1e300, np.float64(1e300), np.float64(5e-324)):
+            message = (f"alpha {alpha:g} is out of range: its fourth power is not a finite "
+                       "normal double")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                model(alpha=alpha)
 
 
 # half-widths, in units of alpha, of the column x row meshes whose share of

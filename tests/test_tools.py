@@ -73,9 +73,27 @@ def test_fingerprint_is_reproducible(capsys):
                  "polar n=16 beta0=0.7 d2 analytic polar_potential",
                  "polar n=33 beta0=0.99 log_spiral central-difference direct potential",
                  "cartesian n=33 d2 analytic write_density",
-                 "polar n=16 beta0=0.7 d2_2 central-difference solve_polar write_force"):
+                 "polar n=16 beta0=0.7 d2_2 central-difference solve_polar write_force",
+                 "cli solve polar cold and warm cache run 1 stdout",
+                 "cli solve polar cold and warm cache file k.npz hole_tt",
+                 "cli converge truth-N file c.csv", "cli kernels cartesian file k.npz table_xy",
+                 "cli refused converge --N 16,32 --M 9e153 run 0 exit"):
         assert name in names
     assert all(len(line.split("  ", 1)[0]) == 64 for line in first)
+
+
+def test_fingerprint_cli_hashes_exit_and_streams(capsys):
+    # a refused run: exit 3, no stdout, one stderr line and no file written
+    fingerprint = _tool("fingerprint")
+    lines = set(_fingerprint_lines(capsys, ["--n", "8"]))
+    case = "cli refused converge --N 16,32 --M 9e153"
+    err = "numerical failure: the error norms are not finite (F_x: L1=nan  L2=nan  Linf=nan)\n"
+    for part, text in (("exit", "3"), ("stdout", ""), ("stderr", err)):
+        assert f"{fingerprint.digest(fingerprint._text(text))}  {case} run 0 {part}" in lines
+    assert not any(line.split("  ", 1)[1].startswith(f"{case} file") for line in lines)
+    # the temporary directory reads as <tmp> in what a run prints
+    out = "wrote <tmp>/c.csv\n"
+    assert f"{fingerprint.digest(fingerprint._text(out))}  cli converge run 0 stdout" in lines
 
 
 def test_fingerprint_sees_one_ulp(capsys, monkeypatch):

@@ -12,21 +12,29 @@ The other cases run at N = 16 and 33: pointwise kernel evaluation,
 ``polar_potential`` and its direct-summation oracle, the softened solve
 and ``error_norms``, and the bytes that ``write_density`` and
 ``write_force`` put in a file for each sampled field and each solve (the
-field-file contract).  A line hashes the value's type, dtype, shape and
-bytes, so sign bits count; a case that raises prints its exception
-instead.
+field-file contract).  The ``cli`` group runs a fixed list of ``thindisk``
+command lines (every command but ``bench``, whose output is timings,
+failing ones included), each case in a new temporary directory: it hashes
+each run's exit code, stdout and stderr with that directory's path
+replaced, and then every file in the directory (a kernel cache by its
+arrays, since its zip members carry a time stamp).  A line hashes the
+value's type, dtype, shape and bytes, so sign bits count; a case that
+raises prints its exception instead.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
-from thindisk import (analysis, baselines, gridio, grids, kernels_cartesian, kernels_polar,
+from thindisk import (analysis, baselines, cli, gridio, grids, kernels_cartesian, kernels_polar,
                       models, solver)
 
 SOLVE_N = (16, 33)
@@ -118,6 +126,89 @@ def _solves(grid):
                         yield f"{case} {name} error_norms {comp}", np.array(norms)
 
 
+# (case, argv lists run in order in one directory); "{d}" is the directory,
+# which holds "density.txt", a sampled N=16 D2 field with slopes
+CLI_CASES = [
+    ("solve model", [["solve", "--N", "16", "--out", "{d}/f.txt"]]),
+    ("solve polar model", [["solve", "--coords", "polar", "--N", "16", "--out", "{d}/f.txt"]]),
+    ("solve input", [["solve", "--input", "{d}/density.txt", "--out", "{d}/f.txt"]]),
+    ("solve softening", [["solve", "--N", "16", "--method", "softening", "--out", "{d}/f.txt"]]),
+    ("solve repulsive", [["solve", "--N", "16", "--model", "d2_2", "--sign", "repulsive",
+                          "--out", "{d}/f.txt"]]),
+    *((f"solve {coords} cold and warm cache",
+       [["solve", "--coords", coords, "--N", "16", "--kernel-cache", "{d}/k.npz",
+         "--out", f"{{d}}/{name}.txt"] for name in ("cold", "warm")])
+      for coords in ("cartesian", "polar")),
+    ("converge", [["converge", "--N", "8,16", "--out", "{d}/c.csv"]]),
+    ("converge reference", [["converge", "--N", "8,16", "--row-convention", "reference",
+                             "--out", "{d}/c.csv"]]),
+    ("converge polar", [["converge", "--coords", "polar", "--N", "16,32", "--out", "{d}/c.csv"]]),
+    ("converge softening", [["converge", "--N", "8,16", "--method", "softening"]]),
+    ("converge truth-N", [["converge", "--model", "log-spiral", "--N", "8,16", "--truth-N", "32",
+                           "--out", "{d}/c.csv"]]),
+    *((f"kernels {coords}", [["kernels", "--coords", coords, "--N", "16", "--out", "{d}/k.npz"]])
+      for coords in ("cartesian", "polar")),
+    ("singular-study", [["singular-study", "--k-min", "2", "--k-max", "6"]]),
+    ("kalnajs", [["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "8",
+                  "--out", "{d}/phi.csv"]]),
+    # refused inputs and numerical failures
+    *((f"refused {' '.join(argv)}", [[*argv, "--out", "{d}/out.txt"]]) for argv in (
+        ["solve", "--N", "16", "--M", "9e153"],
+        ["solve", "--N", "16", "--M", "1e153"],
+        ["converge", "--N", "16,32", "--M", "9e153"],
+        ["converge", "--N", "16,32", "--M", "9e153", "--coords", "polar"],
+        ["converge", "--N", "16,32", "--M", "1e153"],
+        ["solve", "--N", "16", "--alpha", "1e-160"],
+        ["solve", "--N", "16", "--alpha", "1e-160", "--model", "d2_2"],
+        ["converge", "--N", "16,32", "--alpha", "1e-160"],
+        ["solve", "--N", "16", "--alpha", "1e-200"],
+        ["solve", "--N", "16", "--alpha", "1e110"],
+        ["solve", "--N", "16", "--method", "softening", "--epsilon", "1e-300"],
+        ["solve", "--N", "16", "--method", "softening", "--epsilon", "1e-170"],
+        ["solve", "--alpha", "inf", "--N", "16"],
+        ["kernels", "--coords", "polar", "--N", "64", "--beta0", "0.001"])),
+]
+
+
+def _text(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode(), np.uint8)
+
+
+def _run_cli(argv, tmp):
+    """(exit, stdout, stderr) of ``cli.main(argv)``, the texts with ``tmp``
+    read as ``<tmp>``; a warning is one stderr line of its class and text,
+    an uncaught exception the exit "raised <class>: <text>"."""
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        try:
+            code = str(cli.main(argv))
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    err.write("".join(f"{w.category.__name__}: {w.message}\n" for w in caught))
+    return [text.replace(tmp, "<tmp>") for text in (code, out.getvalue(), err.getvalue())]
+
+
+def _cli(argvs):
+    with tempfile.TemporaryDirectory() as tmp:
+        field = models.sample_density(models.D2Disk(), grids.build_cartesian_grid(1.0, 16))
+        gridio.write_density(os.path.join(tmp, "density.txt"), field)
+        for step, argv in enumerate(argvs):
+            texts = _run_cli([a.format(d=tmp) for a in argv], tmp)
+            for part, text in zip(("exit", "stdout", "stderr"), texts):
+                yield f"run {step} {part}", _text(text)
+        for fname in sorted(set(os.listdir(tmp)) - {"density.txt"}):
+            path = os.path.join(tmp, fname)
+            if fname.endswith(".npz"):
+                with np.load(path) as data:
+                    for key in sorted(data.files):
+                        yield f"file {fname} {key}", data[key]
+            else:
+                with open(path, "rb") as fh:
+                    yield f"file {fname}", np.frombuffer(fh.read(), np.uint8)
+
+
 def cases(table_ns):
     """(group, generator of (name, value)) for every case, in print order."""
     for n in table_ns:
@@ -130,6 +221,8 @@ def cases(table_ns):
         for beta0 in BETA0:
             yield f"polar n={n} beta0={beta0}", \
                 lambda n=n, b=beta0: _solves(grids.build_polar_grid(1.0, n, b))
+    for name, argvs in CLI_CASES:
+        yield f"cli {name}", lambda argvs=argvs: _cli(argvs)
 
 
 def main(argv=None) -> int:
