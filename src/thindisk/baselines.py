@@ -85,7 +85,8 @@ class KalnajsConfig:
     carves a hole of radius exp(u_min) out of the disk); alpha_max truncates
     the spectral axis.  Defaults keep the mid-disk potential of the bundled
     test disk accurate to a few 1e-5 while leaving the near-origin
-    truncation artifact visible.
+    truncation artifact visible.  The phases alpha*u of the transforms reach
+    alpha_max * -u_min, which must be a finite normal double.
     """
 
     u_min: float = -6.0
@@ -99,6 +100,9 @@ class KalnajsConfig:
             raise ValueError("u_min must be negative and finite")
         if not 0 < self.alpha_max < np.inf:
             raise ValueError("alpha_max must be positive and finite")
+        check_range(f"u_min {self.u_min:g} with alpha_max", self.alpha_max,
+                    "their phase product alpha_max * -u_min",
+                    float(self.alpha_max) * -float(self.u_min))
         if self.n_alpha < 2 or self.n_u < 2:
             raise ValueError("need at least two quadrature nodes per axis")
 
@@ -174,4 +178,4 @@ def kalnajs_potential_axisym(sigma_of_r, radii, cfg: KalnajsConfig | None = None
 
     uq = np.log(radii)
     inverse = np.exp(1j * np.outer(uq, alpha)) @ (transfer * forward * wa)
-    return -G * np.real(inverse) / np.sqrt(radii)
+    return finite(lambda: [-G * np.real(inverse) / np.sqrt(radii)], "kalnajs potential")[0]

@@ -5,9 +5,9 @@ non-periodic axes are zero-padded to twice their length so the circular
 product reproduces the aperiodic sum exactly; the polar azimuthal axis is
 genuinely periodic and needs no padding.  This module is the spectral layer
 of the package: the padded transform pair, the real-quadrant transform of
-parity-symmetric kernels, the spectral accumulator that the solver and
-fft_convolve share, and the finiteness guard (finite) that polar
-tabulation and every solve run under.  numpy.fft and scipy.fft are looked
+parity-symmetric kernels, the solver's spectral accumulator (fft_convolve
+multiplies its two spectra itself), and the finiteness guard (finite) that
+polar tabulation and every solve run under.  numpy.fft and scipy.fft are looked
 up per call, so code that wraps their functions sees every transform;
 scipy.fft is imported by parity_rfft2, the one function that calls it, so
 importing this module loads numpy alone (the package's import rule).

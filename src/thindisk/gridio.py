@@ -22,6 +22,7 @@ grouped by underscores (``1_0``) and non-ASCII digits; ``#`` starts no comment.
 from __future__ import annotations
 
 import functools
+import os
 import zipfile
 
 import numpy as np
@@ -359,14 +360,19 @@ def save_kernel_tables(path, tables) -> None:
     keyed by the grid line of the field files, written to exactly ``path``
     (np.savez given a name would append ``.npz``).  The file is then read
     back: FileFormatError names the first array that does not load equal
-    to the tables it was written from."""
+    to the tables it was written from, and the file is removed first, so
+    no later run loads it as a warm cache."""
     saved = cache_arrays(tables)
     with open(path, "wb") as fh:
         np.savez(fh, version=np.array(_CACHE_VERSION), grid=np.array(_grid_header(tables.grid)),
                  **saved)
-    for key, arr in cache_arrays(load_kernel_tables(path, tables.grid)).items():
-        if not np.array_equal(arr, saved[key]):
-            raise FileFormatError(f"kernel cache round trip failed for {key}")
+    try:
+        for key, arr in cache_arrays(load_kernel_tables(path, tables.grid)).items():
+            if not np.array_equal(arr, saved[key]):
+                raise FileFormatError(f"kernel cache round trip failed for {key}")
+    except FileFormatError:
+        os.remove(path)
+        raise
 
 
 def load_kernel_tables(path, grid):

@@ -109,7 +109,7 @@ def _assemble(kind, corners, di, dj, dx, k0=None):
 def _parity_signs(kind, di, dj):
     """Factors carrying a kernel from offsets (-|di|, -|dj|) to (di, dj)."""
     pr, pc = PARITY[kind]
-    return np.where(di > 0, pr, 1), np.where(dj > 0, pc, 1)
+    return np.where(di > 0, pr, 1.0), np.where(dj > 0, pc, 1.0)
 
 
 def eval_cartesian_kernel(kind: str, di, dj, grid: CartesianGrid) -> np.ndarray:
@@ -187,7 +187,7 @@ def tabulate_cartesian_kernels(grid: CartesianGrid, threads: int = 1) -> KernelT
     """Tabulate the x-family quadrants at offsets 0..n.
 
     Like eval_cartesian_kernel, each kernel is evaluated at the non-positive
-    offsets -n..0 and carried over by its parity.  Cells share corners (um
+    offsets -n..0 and carried over by _parity_signs.  Cells share corners (um
     at offset d is up at d + 1), so each antiderivative is evaluated once
     on the (n+2)^2 corner lattice.  Tables are bit-identical to
     eval_cartesian_kernel; ``threads`` is ignored.
@@ -217,13 +217,10 @@ def tabulate_cartesian_kernels(grid: CartesianGrid, threads: int = 1) -> KernelT
 
     di, dj = d[:, None], d[None, :]
     k0 = _assemble("x0", corners, di, dj, grid.dx)
-    tables = {}
+    a, tables = np.arange(n + 1), {}
     for kind in X_KINDS:
-        t = np.ascontiguousarray(_assemble(kind, corners, di, dj, grid.dx, k0)[::-1, ::-1])
-        # parity carries offset -a to a: negate the odd axes' entries 1..n
-        for axis, p in enumerate(PARITY[kind]):
-            if p < 0:
-                part = t[(slice(None),) * axis + (slice(1, None),)]
-                np.negative(part, out=part)
-        tables[kind] = t
+        # parity carries the kernel from offsets (-a, -b) to (a, b)
+        row, col = _parity_signs(kind, a[:, None], a)
+        tables[kind] = t = _assemble(kind, corners, di, dj, grid.dx, k0)[::-1, ::-1] * row
+        t *= col
     return KernelTables(grid=grid, tables=tables)

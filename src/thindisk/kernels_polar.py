@@ -4,7 +4,8 @@ Radial-force kernels combine exact radial antiderivatives (H1, H2) with a
 two-node trapezoid rule in theta; the integrand's log(1 - cos) singularity
 caps that rule at first order, which is the method's accuracy limit in
 polar coordinates.  Azimuthal-force kernels for the density and radial-slope
-terms have exact double antiderivatives; the theta-slope kind is trapezoid
+terms are the potential's exact double antiderivatives, negated, since the
+azimuthal force is -(1/r) dPhi/dtheta; the theta-slope kind is trapezoid
 based like the radial family.  Matching "hole" kernels integrate over the
 small disk [0, r_edges[0]] that the logarithmic rings never reach.
 
@@ -79,10 +80,10 @@ def _chord(t, u):
 #
 # _h1 and _h2 are the radial antiderivatives of t*(1 - t*cos(u))/F^3 and
 # t^2*(1 - t*cos(u))/F^3; eval_H1 and eval_H2 add the singularity guard.
-# The printed closed forms circulating for the azimuthal kernels fail the
-# quadrature oracle (see tests), so these are derived from scratch:
-#   d2/du dt of _az0 = t^2 sin(u)/F^3
-#   d2/du dt of _az1 = t^3 sin(u)/F^3
+# The azimuthal force is -(1/r) dPhi/dtheta, so the density and radial-slope
+# azimuthal kernels are the potential forms' double antiderivatives, negated:
+# their family rule is _pot0's and _pot1's corner sum (a - b) - (c - d),
+# negated, and no further closed form is needed for them.
 #   d/dt    of _az2 = sin(u) * (radial antiderivative of t^2/F^3)
 #   d/dt    of _pot0 = t/F,   d/dt of _pot1 = t^2/F
 
@@ -105,14 +106,6 @@ def eval_H2(t, theta) -> np.ndarray:
     """Radial antiderivative of t^2*(1 - t*cos(theta))/F^3."""
     _check_regular(t, theta)
     return _h2(*_chord(t, theta))
-
-
-def _az0(t, c, s, F, L):
-    return -(F + c * L)
-
-
-def _az1(t, c, s, F, L):
-    return -(0.5 * (t + 3.0 * c) * F + 0.5 * (3.0 * c * c - 1.0) * L)
 
 
 def _az2(t, c, s, F, L):
@@ -147,35 +140,30 @@ def _assemble(kind, corners, ratio_correction, dtheta):
     c = (tp, um) and d = (tm, um): the radial limits tp > tm of the source
     cell crossed with the two trapezoid nodes.  ratio_correction is
     r_src/r_target (beta**di for ring cells, r0/r_i for hole cells); it
-    multiplies the zeroth-order kernel inside the slope kinds.
+    multiplies the zeroth-order kernel inside the radial-slope kind.
     """
+    if kind not in KINDS + POTENTIAL_KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+
     def trap(f):
         ab, _, c, d = corners(f)
         return 0.5 * (ab + c - d) * dtheta
 
-    def trap_weighted(f):
-        # node weight is (thetabar - theta_src) = +-dtheta/2
+    def negated_corner(f):
+        # cd - ab, not -(ab - cd): that would read -0.0 where the terms cancel
         ab, cd, _, _ = corners(f)
-        return 0.25 * dtheta * (ab - cd) * dtheta
+        return cd - ab
 
-    def corner(f):
-        ab, cd, _, _ = corners(f)
-        return ab - cd
-
-    formulas = {
-        "r0": lambda: trap(_h1),
-        "rr": lambda: trap(_h2) - ratio_correction * trap(_h1),
-        "rt": lambda: trap_weighted(_h1),
-        "t0": lambda: corner(_az0),
-        "tr": lambda: corner(_az1) - ratio_correction * corner(_az0),
-        "tt": lambda: trap_weighted(_az2),
-        "p0": lambda: trap(_pot0),
-        "pr": lambda: trap(_pot1) - ratio_correction * trap(_pot0),
-        "pt": lambda: trap_weighted(_pot0),
-    }
-    if kind not in formulas:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    return formulas[kind]()
+    # family: (quadrature rule, zeroth form, radial-slope form, theta-slope form)
+    rule, f0, f1, ft = {"r": (trap, _h1, _h2, _h1), "t": (negated_corner, _pot0, _pot1, _az2),
+                        "p": (trap, _pot0, _pot1, _pot0)}[kind[0]]
+    if kind[1] == "0":
+        return rule(f0)
+    if kind[1] == "r":
+        return rule(f1) - ratio_correction * rule(f0)
+    # node weight is (thetabar - theta_src) = +-dtheta/2
+    ab, cd, _, _ = corners(ft)
+    return 0.25 * dtheta * (ab - cd) * dtheta
 
 
 def eval_polar_kernel(kind: str, di, dj, grid: PolarGrid) -> np.ndarray:

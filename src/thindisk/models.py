@@ -27,7 +27,9 @@ class D2Disk:
 
     alpha must be positive, with a fourth power that is a finite normal
     double (about 1.22e-77 to 1.16e77): the closed forms raise it to powers
-    up to the fourth.  sigma0 must be positive and finite.
+    up to the fourth.  sigma0 must be positive, and it, the slope factor
+    3*sigma0/alpha**2 and the force coefficient 3*pi**2*sigma0/(16*alpha**3)
+    finite normal doubles.
 
     Density, potential on the midplane and radial force all have closed
     forms; the potential/force pair is continuous (and once differentiable
@@ -48,6 +50,9 @@ class D2Disk:
         check_range("alpha", self.alpha, "its fourth power", (a * a) * (a * a))
         if not 0 < self.sigma0 < np.inf:
             raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
+        s = float(self.sigma0)
+        check_range("sigma0", s, "its value, slope factor or force coefficient",
+                    s, 3.0 * s / (a * a), 3.0 * np.pi**2 * s / (16.0 * (a * a) * a))
 
     kind = "d2"
     has_analytic_slopes = True

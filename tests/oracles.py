@@ -232,8 +232,7 @@ def pot1(t, c, s, F, L):
     return 0.5 * ((t + 3.0 * c) * F + (3.0 * c * c - 1.0) * L)
 
 
-POLAR_FORMS = {"_h1": h1, "_h2": h2, "_az0": az0, "_az1": az1, "_az2": az2,
-               "_pot0": pot0, "_pot1": pot1}
+POLAR_FORMS = {"_h1": h1, "_h2": h2, "_az2": az2, "_pot0": pot0, "_pot1": pot1}
 
 
 def assemble_polar(kind, corners, ratio_correction, dtheta):

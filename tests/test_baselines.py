@@ -238,6 +238,18 @@ class TestKalnajs:
             KalnajsConfig(u_min=-np.inf)
         with pytest.raises(ValueError, match="^alpha_max must be positive and finite$"):
             KalnajsConfig(alpha_max=np.inf)
+        # the transforms' phases reach alpha_max * -u_min
+        for u_min, alpha_max in ((-1e308, 60.0), (-6.0, 1e308), (-1e-300, 1e-10)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"u_min {u_min:g} with alpha_max {alpha_max:g} is out of range: their phase product")):
+                KalnajsConfig(u_min=u_min, alpha_max=alpha_max)
+        KalnajsConfig(u_min=-1e300, alpha_max=1e-300)
+
+    def test_non_finite_potential_raises(self):
+        # an exit 0 of the kalnajs command never writes nan
+        with pytest.raises(FloatingPointError, match="^kalnajs potential holds a non-finite value$"):
+            kalnajs_potential_axisym(lambda r: np.full_like(r, np.nan), [0.3, 0.7],
+                                     KalnajsConfig(n_alpha=128, n_u=64))
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):

@@ -261,6 +261,19 @@ class TestBadInput:
          "error: alpha must be positive and finite, got inf"),
         (["solve", "--sigma0", "inf"], None, 1,
          "error: sigma0 must be positive and finite, got inf"),
+        # a sigma0 whose closed-form coefficients leave the normal doubles
+        (["solve", "--N", "16", "--sigma0", "1e308"], None, 1,
+         "error: sigma0 1e+308 is out of range: its value, slope factor or force coefficient "
+         "is not a finite normal double"),
+        (["solve", "--N", "16", "--sigma0", "1e308", "--model", "d2_2"], None, 1,
+         "error: sigma0 1e+308 is out of range: its value, slope factor or force coefficient "
+         "is not a finite normal double"),
+        (["solve", "--N", "16", "--sigma0", "1e-320"], None, 1,
+         "error: sigma0 9.99989e-321 is out of range: its value, slope factor or force "
+         "coefficient is not a finite normal double"),
+        (["solve", "--N", "16", "--sigma0", "1e-320", "--model", "d2_2"], None, 1,
+         "error: sigma0 9.99989e-321 is out of range: its value, slope factor or force "
+         "coefficient is not a finite normal double"),
         (["converge", "--alpha", "inf", "--N", "16,32"], None, 1,
          "error: alpha must be positive and finite, got inf"),
         (["kalnajs", "--alpha", "inf"], None, 1,
@@ -378,6 +391,16 @@ class TestBadInput:
         (["kalnajs", "--alpha-max", "inf"], None, 1,
          "error: alpha_max must be positive and finite"),
         (["kalnajs", "--points", "0"], None, 1, "error: need at least one query radius"),
+        # truncations whose phase product leaves the normal doubles; one that
+        # keeps it finite reaches the transfer kernel's own check
+        (["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--u-min=-1e308"], None, 1,
+         "error: u_min -1e+308 with alpha_max 60 is out of range: their phase product "
+         "alpha_max * -u_min is not a finite normal double"),
+        (["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--alpha-max", "1e308"],
+         None, 1, "error: u_min -6 with alpha_max 1e+308 is out of range: their phase product "
+         "alpha_max * -u_min is not a finite normal double"),
+        (["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--alpha-max", "1e13"],
+         None, 3, "numerical failure: transfer kernel loses all precision; alpha or m out of range"),
         (["singular-study", "--k-min", "26", "--k-max", "27"], None, 3,
          "numerical failure: 1 - cos(2**-27) rounds to 0 in double precision "
          "(k must be at most 26)"),
@@ -492,14 +515,19 @@ class TestOtherCommands:
         code = main(["kernels", "--coords", coords, "--N", "8", "--out", str(tmp_path / "k.npz")])
         assert code == 2
         assert capsys.readouterr().err == f"error: kernel cache round trip failed for {key}\n"
+        assert not (tmp_path / "k.npz").exists()
         # a cold solve writes its cache through the same check, before any force file
-        force = tmp_path / "f.txt"
-        code = main(["solve", "--coords", coords, "--N", "8", "--kernel-cache",
-                     str(tmp_path / "cold.npz"), "--out", str(force)])
-        assert code == 2
+        force, cold = tmp_path / "f.txt", tmp_path / "cold.npz"
+        solve = ["solve", "--coords", coords, "--N", "8", "--kernel-cache", str(cold),
+                 "--out", str(force)]
+        assert main(solve) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: kernel cache round trip failed for {key}\n"
-        assert captured.out == "" and not force.exists()
+        assert captured.out == "" and not force.exists() and not cold.exists()
+        # no cache was left to load as warm: the same solve tabulates and writes it
+        monkeypatch.setattr(gridio, "load_kernel_tables", load)
+        assert main(solve) == 0
+        assert cold.exists() and force.exists()
 
     @pytest.mark.parametrize("coords", ["cartesian", "polar"])
     def test_cold_solve_cache_equals_kernels_cache(self, tmp_path, coords):

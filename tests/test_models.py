@@ -109,6 +109,19 @@ class TestD2Closed:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 model(alpha=alpha)
 
+    @pytest.mark.parametrize("model", [D2Disk, D2PairDisk])
+    def test_sigma0_range(self, model):
+        # sigma0, 3*sigma0/alpha**2 and 3*pi**2*sigma0/(16*alpha**3) must be
+        # finite normal doubles; at alpha = 0.25 the last bounds sigma0 by 1.5e306
+        for alpha, sigma0 in ((0.25, 1e306), (0.25, 3e-308), (1e70, 1e-90)):
+            model(alpha=alpha, sigma0=sigma0)
+        for alpha, sigma0 in ((0.25, 2e306), (0.25, 1e308), (0.25, 2.2e-308), (0.25, 1e-320),
+                              (1e70, 1e-100)):
+            message = (f"sigma0 {sigma0:g} is out of range: its value, slope factor or force "
+                       "coefficient is not a finite normal double")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                model(alpha=alpha, sigma0=sigma0)
+
 
 # half-widths, in units of alpha, of the column x row meshes whose share of
 # points inside the disk is about 1 %, 40 % and 97 %

@@ -166,6 +166,9 @@ CLI_CASES = [
         ["solve", "--N", "16", "--method", "softening", "--epsilon", "1e-300"],
         ["solve", "--N", "16", "--method", "softening", "--epsilon", "1e-170"],
         ["solve", "--alpha", "inf", "--N", "16"],
+        ["solve", "--N", "16", "--sigma0", "1e308"],
+        ["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--u-min=-1e308"],
+        ["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--alpha-max", "1e308"],
         ["kernels", "--coords", "polar", "--N", "64", "--beta0", "0.001"])),
 ]
 
