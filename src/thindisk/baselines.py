@@ -13,6 +13,7 @@ near the origin.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,7 +87,10 @@ class KalnajsConfig:
     the spectral axis.  Defaults keep the mid-disk potential of the bundled
     test disk accurate to a few 1e-5 while leaving the near-origin
     truncation artifact visible.  The phases alpha*u of the transforms reach
-    alpha_max * -u_min, which must be a finite normal double.
+    alpha_max * -u_min, the spectral axis spans 2 * alpha_max, the
+    reduced density is weighted by exp(1.5 * u) down to exp(1.5 * u_min),
+    and the trapezoid rules step by -u_min / (n_u - 1) and
+    2 * alpha_max / (n_alpha - 1): each must be a finite normal double.
     """
 
     u_min: float = -6.0
@@ -103,8 +107,17 @@ class KalnajsConfig:
         check_range(f"u_min {self.u_min:g} with alpha_max", self.alpha_max,
                     "their phase product alpha_max * -u_min",
                     float(self.alpha_max) * -float(self.u_min))
+        check_range("alpha_max", self.alpha_max, "its spectral span 2 * alpha_max",
+                    2.0 * float(self.alpha_max))
+        check_range("u_min", self.u_min, "its reduced-density weight exp(1.5 * u_min)",
+                    math.exp(1.5 * float(self.u_min)))
         if self.n_alpha < 2 or self.n_u < 2:
             raise ValueError("need at least two quadrature nodes per axis")
+        check_range("u_min", self.u_min, "its log-radius step -u_min / (n_u - 1)",
+                    -float(self.u_min) / (self.n_u - 1))
+        check_range("alpha_max", self.alpha_max,
+                    "its spectral step 2 * alpha_max / (n_alpha - 1)",
+                    2.0 * float(self.alpha_max) / (self.n_alpha - 1))
 
 
 def softened_potential(field: DensityField, cfg: SofteningConfig | None = None,

@@ -18,6 +18,7 @@ from .grids import CartesianGrid
 KINDS = ("x0", "xx", "xy", "y0", "yx", "yy")
 X_KINDS = KINDS[:3]
 _Y_FROM_X = {"y0": "x0", "yx": "xy", "yy": "xx"}    # y-kind: x-kind with the axes swapped
+_SWAPPED = {**_Y_FROM_X, **{x: y for y, x in _Y_FROM_X.items()}}
 # (row, column) parity under di -> -di and dj -> -dj; a spectrum has its
 # table's parity, and is real or, odd in one axis only, imaginary.  "soft"
 # is the softened point-mass potential kernel of baselines.softened_potential
@@ -153,9 +154,10 @@ class KernelTables:
     rebuilds any of the six kinds in the 2n x 2n wrap layout of
     wrap_offsets(n), and ``spectrum(kind)`` gives the real quadrant of its
     half-spectrum (see convolve.parity_rfft2).  Both are cached on first
-    use, so repeated solves on one grid pay the transforms once.  Any kind
-    in PARITY works the same way: baselines.softened_potential holds its
-    kernel as the one kind "soft".
+    use, so repeated solves on one grid pay the transforms once;
+    ``transposed_spectrum(kind)`` is the row-contiguous transpose that the
+    solver reads.  Any kind in PARITY works the same way:
+    baselines.softened_potential holds its kernel as the one kind "soft".
     """
 
     grid: CartesianGrid
@@ -164,7 +166,8 @@ class KernelTables:
 
     def _per_kind(self, what: str, kind: str, build):
         # build(kind) for an x-kind; a y-kind gets a row-contiguous transposed
-        # copy of its x-kind's result, for the solver's row blocks
+        # copy of its x-kind's result, which is also the x-kind's
+        # transposed_spectrum for the solver's column blocks
         x = _Y_FROM_X.get(kind, kind)
         return _cached(self._cache, (what, kind), lambda: build(kind) if kind == x
                        else np.ascontiguousarray(getattr(self, what)(x).T))
@@ -181,6 +184,14 @@ class KernelTables:
         """parity_rfft2's real (n+1) x (n+1) quadrant of the kind's half-spectrum."""
         return self._per_kind("spectrum", kind,
                               lambda x: parity_rfft2(self.tables[x], PARITY[x]))
+
+    def transposed_spectrum(self, kind: str) -> np.ndarray:
+        """spectrum(kind).T, row-contiguous: the spectrum of the kind with
+        the axes swapped, or for a kind without one ("soft") a cached copy."""
+        swap = _SWAPPED.get(kind)
+        return self.spectrum(swap) if swap else _cached(
+            self._cache, ("transposed_spectrum", kind),
+            lambda: np.ascontiguousarray(self.spectrum(kind).T))
 
 
 def tabulate_cartesian_kernels(grid: CartesianGrid, threads: int = 1) -> KernelTables:

@@ -6,15 +6,23 @@ numerical and analytic fields compare directly (``thindisk solve --sign
 repulsive`` negates them on output).  ``assemble`` is the one spectral
 recipe: a term table of (output, kernel kind, input plane) rows run over a
 tables object's kernels by zero-padded FFT or by direct summation, for the
-forces here and for baselines.softened_potential.  A polar term carries the
-target radius r_i to the power kernels_polar.RADIUS_POWER gives its kind,
-for the forces' radial-slope terms and every potential term alike: the
-direct sum multiplies by r_i**p, the FFT sum folds (r_i / r_src)**p into
-the kernel spectra and reads the input times r_src**p.  Note
-the two polar kernel families come out of their defining integrals with
-opposite orientations (the radial family is outward-positive, the
-azimuthal family forward-positive); the radial flip happens here, not in
-the tables.
+forces here and for baselines.softened_potential.  Cartesian FFT sums run
+through convolve.parity_sums: the planes' axis-1 spectra share one stacked
+(planes, n, n + 1) array, and the axis-0 transforms, products and inverses
+run one block of columns at a time, a block about convolve.BLOCK_ENTRIES
+entries whatever n is (convolve.column_blocks), each kind's real spectrum
+quadrant read transposed (KernelTables.transposed_spectrum).  So a solve
+holds half the spectral memory of whole padded spectra, and the stacked
+array's free keeps glibc's heap serving the next solve and density sample
+without fresh pages.  Polar sums sweep whole padded spectra in row blocks
+(convolve.accumulate).  A polar term carries the target radius r_i to the
+power kernels_polar.RADIUS_POWER gives its kind, for the forces'
+radial-slope terms and every potential term alike: the direct sum
+multiplies by r_i**p, the FFT sum folds (r_i / r_src)**p into the kernel
+spectra and reads the input times r_src**p.  Note the two polar kernel
+families come out of their defining integrals with opposite orientations
+(the radial family is outward-positive, the azimuthal family
+forward-positive); the radial flip happens here, not in the tables.
 """
 from __future__ import annotations
 
@@ -22,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import accumulate, cropped_ifft, cropped_irfft2, direct_convolve, finite, \
-    padded_rfft2, ring_convolve_direct
+from .convolve import accumulate, cropped_ifft, direct_convolve, finite, padded_rfft2, \
+    parity_sums, ring_convolve_direct
 from .grids import CartesianGrid, PolarGrid
 from .kernels_cartesian import PARITY, KernelTables
 from .kernels_polar import POTENTIAL_KINDS, RADIUS_POWER, PolarKernelTables, \
@@ -104,26 +112,24 @@ def _source(field: DensityField, prefix: str, plane: str, p: int) -> np.ndarray:
 
 def _fft_sums(terms, field: DensityField, tables) -> dict:
     grid, n = field.grid, field.grid.n
-    shape = tuple(2 * n if axis in grid.padded_axes else n for axis in (0, 1))
-    # Cartesian kernel spectra, the kinds in PARITY, are stored as real
-    # quadrants; those of x0 and y0 carry a factor 1j, which goes once onto
-    # the one plane they (and no other kind) read.  Polar spectra are complex.
-    imaginary = {kind for kind, (r, c) in PARITY.items() if r * c < 0}
-    kernels = {kind: (tables.spectrum(kind), PARITY.get(kind, (1, 1))[0]) for _, kind, _ in terms}
     # each row reads the _source of its plane; each source is transformed once
     rows = [(out, kind, (plane, RADIUS_POWER.get(kind, 0))) for out, kind, plane in terms]
-    sources = dict.fromkeys(key for _, _, key in rows)
-    accs = {}
-    for key in sources:
-        reads = [(out, kind) for out, kind, k in rows if k == key]
-        accumulate(accs, [(out, *kernels[kind]) for out, kind in reads],
-                   padded_rfft2(_source(field, "", *key), shape),
-                   any(kind in imaginary for _, kind in reads))
+    reads = {key: [(out, kind) for out, kind, k in rows if k == key] for _, _, key in rows}
     if grid.coords != "polar":
-        return {out: cropped_irfft2(accs.pop(out), shape, n, n) for out in list(accs)}
+        # Cartesian spectra, the kinds in PARITY, are real quadrants, read
+        # transposed; those of x0 and y0 carry a factor 1j, which goes once
+        # onto the one plane they (and no other kind) read
+        return parity_sums([(_source(field, "", *key),
+                             any(PARITY[kind][0] * PARITY[kind][1] < 0 for _, kind in kr),
+                             [(out, tables.transposed_spectrum(kind), PARITY[kind][0])
+                              for out, kind in kr]) for key, kr in reads.items()], n)
+    accs = {}
+    for key, kr in reads.items():
+        accumulate(accs, [(out, tables.spectrum(kind)) for out, kind in kr],
+                   padded_rfft2(_source(field, "", *key), (2 * n, n)))
     # a hole sum is a circular theta-convolution: it joins its output's theta
     # spectrum between the radial inverse and the one theta inverse
-    rings = {key: np.fft.rfft(_source(field, "hole_", *key)) for key in sources}
+    rings = {key: np.fft.rfft(_source(field, "hole_", *key)) for key in reads}
     specs = {out: cropped_ifft(acc, n) for out, acc in accs.items()}
     product = np.empty_like(specs[rows[0][0]])
     for out, kind, key in rows:
@@ -137,9 +143,10 @@ def assemble(terms, field: DensityField, tables, backend: str = "fft") -> list:
     "direct" convolves term by term (the O(n^4) oracle), multiplies each
     polar term by r_i**RADIUS_POWER[kind] and sums in table order, plane
     terms before hole-ring terms.  "fft" transforms each input once into one
-    spectral accumulator per output and inverts each accumulator once: polar
-    ones along r only, adding the hole-ring products to their theta spectra
-    before one theta inverse per output.  It reads the input of a row times
+    spectral accumulator per output and inverts each accumulator once:
+    Cartesian ones a block of columns at a time (convolve.parity_sums),
+    polar ones along r only, adding the hole-ring products to their theta
+    spectra before one theta inverse per output.  It reads the input of a row times
     r_src**p, p = RADIUS_POWER[kind], the kernel spectra holding
     (r_i / r_src)**p.  Tables built on another grid than the field's raise
     ValueError: every solver and polar_potential run this one check."""

@@ -243,7 +243,21 @@ class TestKalnajs:
             with pytest.raises(ValueError, match=re.escape(
                     f"u_min {u_min:g} with alpha_max {alpha_max:g} is out of range: their phase product")):
                 KalnajsConfig(u_min=u_min, alpha_max=alpha_max)
-        KalnajsConfig(u_min=-1e300, alpha_max=1e-300)
+        # a finite phase product with a span or a density weight that is not
+        with pytest.raises(ValueError, match=re.escape(
+                "alpha_max 1e+308 is out of range: its spectral span 2 * alpha_max")):
+            KalnajsConfig(u_min=-1e-300, alpha_max=1e308)
+        for u_min in (-1e300, -473.0):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"u_min {u_min:g} is out of range: its reduced-density weight")):
+                KalnajsConfig(u_min=u_min, alpha_max=1e-300)
+        # a spectral step that is subnormal
+        with pytest.raises(ValueError, match=re.escape(
+                "alpha_max 1e-307 is out of range: its spectral step 2 * alpha_max / (n_alpha - 1)")):
+            KalnajsConfig(alpha_max=1e-307, n_alpha=128)
+        KalnajsConfig(u_min=-472.0, alpha_max=1e-300)
+        KalnajsConfig(u_min=-1e-300, alpha_max=8e307)
+        KalnajsConfig(alpha_max=1e-305, n_alpha=128)
 
     def test_non_finite_potential_raises(self):
         # an exit 0 of the kalnajs command never writes nan

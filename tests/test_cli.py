@@ -399,6 +399,17 @@ class TestBadInput:
         (["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--alpha-max", "1e308"],
          None, 1, "error: u_min -6 with alpha_max 1e+308 is out of range: their phase product "
          "alpha_max * -u_min is not a finite normal double"),
+        # a finite phase product, but a spectral span or a reduced-density
+        # weight that is not: one wrote phi = -0 at every radius, the other
+        # printed raw warnings and ended in a numerical failure
+        (["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--u-min=-1e308",
+          "--alpha-max", "1e-300"], None, 1,
+         "error: u_min -1e+308 is out of range: its reduced-density weight exp(1.5 * u_min) "
+         "is not a finite normal double"),
+        (["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--u-min=-1e-300",
+          "--alpha-max", "1e308"], None, 1,
+         "error: alpha_max 1e+308 is out of range: its spectral span 2 * alpha_max is not a "
+         "finite normal double"),
         (["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--alpha-max", "1e13"],
          None, 3, "numerical failure: transfer kernel loses all precision; alpha or m out of range"),
         (["singular-study", "--k-min", "26", "--k-max", "27"], None, 3,

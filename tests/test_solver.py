@@ -1,5 +1,12 @@
 import dataclasses
+import itertools
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +17,19 @@ from thindisk import (CallableModel, D2Disk, D2PairDisk, build_cartesian_grid,
                       solve_cartesian_direct, solve_polar, solve_polar_direct,
                       solve_softened_cartesian, tabulate_cartesian_kernels,
                       tabulate_polar_kernels)
+from thindisk import solver
 from thindisk.analysis import array_norms
-from thindisk.models import DensityField
+from thindisk.convolve import column_blocks, fft_convolve
+from thindisk.kernels_cartesian import KernelTables
+from thindisk.models import G, DensityField
 from thindisk.kernels_polar import KINDS as POLAR_KINDS, POTENTIAL_KINDS
 from thindisk.solver import (CARTESIAN_TERMS, POLAR_TERMS, POTENTIAL_TERMS, ForceField,
                              assemble, polar_potential)
+
+try:
+    import resource
+except ImportError:     # not on every platform
+    resource = None
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +348,31 @@ class TestBackends:
         for a, b in ((fast.comp_u, slow.comp_u), (fast.comp_v, slow.comp_v)):
             assert np.abs(a - b).max() <= 1e-12 * scale
 
+    def test_cartesian_sweep_of_several_column_blocks(self):
+        # every other FFT check runs at a size whose sweep is one column
+        # block; here the smallest with three blocks, the last one narrower
+        n = next(n for n in itertools.count(2)
+                 if len(blocks := column_blocks(n)) >= 3
+                 and blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0])
+        grid = build_cartesian_grid(1.0, n)
+        tables = tabulate_cartesian_kernels(grid)
+        field = _random_field(grid, 12)
+        # the reference: per-term full-array convolutions of the wrap-layout tables
+        want = [sum(fft_convolve(tables.table(kind), getattr(field, plane))
+                    for out, kind, plane in CARTESIAN_TERMS if out == k) for k in (0, 1)]
+        force = solve_cartesian(field, tables)
+        for got, ref in zip((force.comp_u, force.comp_v), want):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        # the softened solve, its kernel at the default softening length dx
+        offs = np.arange(n + 1) * grid.dx
+        soft = KernelTables(grid, {"soft": -G / np.sqrt(grid.dx**2 + offs[:, None] ** 2
+                                                        + offs[None, :] ** 2)})
+        phi = fft_convolve(soft.table("soft"), field.values * grid.cell_area)
+        want = np.gradient(-phi, grid.dx, edge_order=2)
+        force = solve_softened_cartesian(field)
+        for got, ref in zip((force.comp_u, force.comp_v), want):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_wrappers_run_the_tables(self):
         grid = build_polar_grid(1.0, 16, 0.99)
         tables = tabulate_polar_kernels(grid, kinds=POLAR_KINDS + POTENTIAL_KINDS)
@@ -361,8 +401,9 @@ def test_mirrored_density_gives_mirrored_force(solve):
 
 class TestTransformCounts:
     """Each input plane is transformed once and each accumulator inverted
-    once, by one numpy.fft call per axis (rfft then fft forward, ifft then
-    irfft inverse); a per-term transform path would raise these counts."""
+    once, by one numpy.fft call per axis and per column block (rfft then fft
+    forward, ifft then irfft inverse), and at N=16 a Cartesian sweep is one
+    block; a per-term transform path would raise these counts."""
 
     @pytest.fixture
     def fft_calls(self, monkeypatch):
@@ -460,3 +501,56 @@ class TestForceField:
         assert np.isfinite(solve(field.scaled(1e305), *tables).comp_u).all()
         with pytest.raises(FloatingPointError, match="^force component comp_u holds a non-finite"):
             solve(field.scaled(1e307), *tables)
+
+
+def test_warm_cartesian_solve_peak_memory():
+    # a warm N=512 solve peaks 17.6 MiB above its starting level with
+    # column-blocked padded transforms, and peaked at 24.7 MiB with three
+    # whole 2N x (N+1) spectra
+    grid = build_cartesian_grid(1.0, 512)
+    tables = tabulate_cartesian_kernels(grid)
+    field = sample_density(D2PairDisk(), grid)
+    solve_cartesian(field, tables)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solve_cartesian(field, tables)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20.0 * 2**20
+
+
+CARTESIAN_FAULT_PROBE = """
+import resource
+from thindisk import (D2PairDisk, build_cartesian_grid, sample_density, solve_cartesian,
+                      tabulate_cartesian_kernels)
+grid = build_cartesian_grid(1.0, 512)
+tables = tabulate_cartesian_kernels(grid)
+field = sample_density(D2PairDisk(), grid)
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    solve_cartesian(field, tables)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    field = sample_density(D2PairDisk(), grid)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(resource is None or platform.libc_ver()[0] != "glibc",
+                    reason="minor-fault counts of glibc's heap")
+def test_warm_cartesian_solves_reuse_the_heap():
+    # the free of a solve's one stacked row-spectrum array raises glibc's
+    # mmap threshold above both the solve's and the sampler's arrays; with
+    # three whole 2N x (N+1) spectra a warm solve made about 1,000-1,500
+    # minor faults and a sample about 1,000-2,000, against 0 here once the
+    # heap has grown (the first two solves)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(solver.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", CARTESIAN_FAULT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    faults = [int(x) for x in out.split()]
+    assert len(faults) == 8 and max(faults[4:]) <= 64, faults

@@ -73,6 +73,7 @@ def test_fingerprint_is_reproducible(capsys):
                  "polar n=16 beta0=0.7 d2 analytic polar_potential",
                  "polar n=33 beta0=0.99 log_spiral central-difference direct potential",
                  "cartesian n=33 d2 analytic write_density",
+                 "cartesian forces n=8 log_spiral solve_softened_cartesian comp_v",
                  "polar n=16 beta0=0.7 d2_2 central-difference solve_polar write_force",
                  "cli solve polar cold and warm cache run 1 stdout",
                  "cli solve polar cold and warm cache file k.npz hole_tt",

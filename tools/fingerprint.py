@@ -5,8 +5,10 @@ shows whether a change left every result bit-identical.  Usage:
     PYTHONPATH=src python3 tools/fingerprint.py [--n N ...] > prints.txt
 
 ``--n`` sets the sizes of the kernel-table cases (default 16 33; add 512
-for production-size tables): Cartesian quadrants and spectra, and polar
-ring and hole tables and spectra of all nine kinds at beta0 = 0.99 and 0.7.
+and 1024 for production-size tables): Cartesian quadrants and spectra, the
+proposed and softened Cartesian forces of two models (at 512 and 1024 the
+sweep of convolve.parity_sums runs in many column blocks), and polar ring
+and hole tables and spectra of all nine kinds at beta0 = 0.99 and 0.7.
 The other cases run at N = 16 and 33: pointwise kernel evaluation,
 ``sample_density`` planes, every ``solve_*`` and its direct twin,
 ``polar_potential`` and its direct-summation oracle, the softened solve
@@ -66,6 +68,18 @@ def _cartesian_tables(n):
         yield f"table {kind}", t.tables[kind]
     for kind in kernels_cartesian.KINDS:
         yield f"spectrum {kind}", t.spectrum(kind)
+
+
+def _cartesian_forces(n):
+    grid = grids.build_cartesian_grid(1.0, n)
+    tables = kernels_cartesian.tabulate_cartesian_kernels(grid)
+    for model in (models.D2PairDisk(), models.LogSpiralDisk()):
+        field = models.sample_density(model, grid)
+        for name, force in (("solve_cartesian", solver.solve_cartesian(field, tables)),
+                            ("solve_softened_cartesian",
+                             baselines.solve_softened_cartesian(field))):
+            yield f"{model.kind} {name} comp_u", force.comp_u
+            yield f"{model.kind} {name} comp_v", force.comp_v
 
 
 def _polar_tables(n, beta0):
@@ -169,6 +183,10 @@ CLI_CASES = [
         ["solve", "--N", "16", "--sigma0", "1e308"],
         ["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--u-min=-1e308"],
         ["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--alpha-max", "1e308"],
+        ["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--u-min=-1e308",
+         "--alpha-max", "1e-300"],
+        ["kalnajs", "--N", "64", "--n-alpha", "128", "--points", "4", "--u-min=-1e-300",
+         "--alpha-max", "1e308"],
         ["kernels", "--coords", "polar", "--N", "64", "--beta0", "0.001"])),
 ]
 
@@ -216,6 +234,7 @@ def cases(table_ns):
     """(group, generator of (name, value)) for every case, in print order."""
     for n in table_ns:
         yield f"cartesian n={n}", lambda n=n: _cartesian_tables(n)
+        yield f"cartesian forces n={n}", lambda n=n: _cartesian_forces(n)
         for beta0 in BETA0:
             yield f"polar n={n} beta0={beta0}", lambda n=n, b=beta0: _polar_tables(n, b)
     yield "pointwise", _pointwise
